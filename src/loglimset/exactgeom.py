@@ -1,10 +1,11 @@
 """Exact rational linear algebra and LP feasibility for polyhedral cones.
 
 Cones are described by homogeneous integer linear systems (rows meaning
-``row . xi = 0`` or ``row . xi >= 0``).  Everything runs in exact Fraction
-arithmetic: feasibility uses a phase-1 simplex with Bland's anti-cycling
-rule, and cone dimension is obtained by testing which inequalities admit a
-strictly positive value over the cone.
+``row . xi = 0`` or ``row . xi >= 0``).  Everything is exact: elimination
+runs in Fraction arithmetic, and feasibility uses a phase-1 simplex with
+fraction-free integer pivoting (Bareiss) and Bland's anti-cycling rule.
+Cone dimension is obtained by testing which inequalities admit a strictly
+positive value over the cone.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 RationalVector = tuple[Fraction, ...]
@@ -217,20 +218,53 @@ def intersect(s1: LinearSystem, s2: LinearSystem) -> LinearSystem:
 
 
 # ----------------------------------------------------------------------
-# phase-1 simplex (Bland's rule, exact arithmetic)
+# phase-1 simplex (Bland's rule, exact fraction-free integer pivoting)
+
+
+def _integer_rows(
+    rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
+) -> tuple[list[list[int]], list[int]]:
+    """Integer copies of the rows and rhs, each row scaled to clear denominators.
+
+    Scaling a row and its rhs by a positive integer keeps the feasible set.
+    Integer rows are copied as they are.
+    """
+    A: list[list[int]] = []
+    b: list[int] = []
+    for row, r in zip(rows, rhs):
+        if isinstance(r, int) and all(isinstance(v, int) for v in row):
+            A.append(list(row))
+            b.append(r)
+            continue
+        fracs = [Fraction(v) for v in row]
+        fr = Fraction(r)
+        scale = lcm(fr.denominator, *(v.denominator for v in fracs))
+        A.append([v.numerator * (scale // v.denominator) for v in fracs])
+        b.append(fr.numerator * (scale // fr.denominator))
+    return A, b
 
 
 def solve_nonneg(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]) -> Optional[list[Fraction]]:
-    """Find x >= 0 with A x = b exactly, or None if infeasible."""
+    """Find x >= 0 with A x = b exactly, or None if infeasible.
+
+    The tableau is kept in integers: every entry of T, b and the objective
+    row d, and the objective value, is D times its true value, where D is
+    the determinant of the current basis (D = 1 for the starting basis of
+    unit columns).  A pivot on p = T[leave][enter] > 0 leaves the pivot row
+    as it is, maps every other entry a with multiplier f = T[i][enter] to
+    (p*a - f*c) // D, where c is the pivot row's entry in a's column (an
+    exact division, Bareiss 1968), and then sets D = p.  Since D > 0, sign
+    tests and cross-multiplied ratio comparisons decide exactly as on the
+    true values.
+    """
     m = len(rows)
     if m == 0:
         return []
     n = len(rows[0])
-    A = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
+    T, b = _integer_rows(rows, rhs)
     for i in range(m):
         if b[i] < 0:
-            A[i] = [-v for v in A[i]]
+            T[i] = [-v for v in T[i]]
             b[i] = -b[i]
 
     # crash basis from pre-existing unit columns
@@ -238,9 +272,9 @@ def solve_nonneg(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | F
     taken: set[int] = set()
     for i in range(m):
         for j in range(n):
-            if j in taken or A[i][j] != 1:
+            if j in taken or T[i][j] != 1:
                 continue
-            if all(A[k][j] == 0 for k in range(m) if k != i):
+            if all(T[k][j] == 0 for k in range(m) if k != i):
                 basis[i] = j
                 taken.add(j)
                 break
@@ -248,61 +282,55 @@ def solve_nonneg(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | F
     if not art_rows:
         x = [Fraction(0)] * n
         for i, j in enumerate(basis):
-            x[j] = b[i]
+            x[j] = Fraction(b[i])
         return x
-
-    total = n + len(art_rows)
-    T = [row + [Fraction(0)] * len(art_rows) for row in A]
     for k, i in enumerate(art_rows):
-        T[i][n + k] = Fraction(1)
         basis[i] = n + k
 
     # phase-1 objective: minimise the sum of artificials.  d[j] is the rate
-    # at which the objective drops when nonbasic column j enters.
-    d = [Fraction(0)] * total
-    value = Fraction(0)
-    for i in art_rows:
-        for j in range(total):
-            d[j] += T[i][j]
-        value += b[i]
-    for j in range(n, total):
-        d[j] = Fraction(0)  # artificials never re-enter
-    alive = [True] * total
+    # at which the objective drops when structural column j enters.  The
+    # artificial columns never re-enter, so neither T nor d stores them.
+    d = [sum(T[i][j] for i in art_rows) for j in range(n)]
+    value = sum(b[i] for i in art_rows)
+    D = 1
 
     while True:
         enter = -1
         for j in range(n):
-            if alive[j] and d[j] > 0:
+            if d[j] > 0:
                 enter = j
                 break
         if enter < 0:
             break
         leave = -1
-        best: Fraction | None = None
         for i in range(m):
             coef = T[i][enter]
             if coef > 0:
-                ratio = b[i] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # ratio b[i] / coef against b[leave] / T[leave][enter]
+                here = b[i] * T[leave][enter]
+                best = b[leave] * coef
+                if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise ArithmeticError("phase-1 objective unbounded; inconsistent tableau")
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
-        b[leave] = b[leave] / piv
+        prow = T[leave]
+        p = prow[enter]
+        bl = b[leave]
         for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [a - f * c for a, c in zip(T[i], T[leave])]
-                b[i] -= f * b[leave]
+            if i == leave:
+                continue
+            f = T[i][enter]
+            if f or p != D:
+                T[i] = [(p * a - f * c) // D for a, c in zip(T[i], prow)]
+                b[i] = (p * b[i] - f * bl) // D
         f = d[enter]
-        if f != 0:
-            d = [a - f * c for a, c in zip(d, T[leave])]
-            value -= f * b[leave]
-        left_col = basis[leave]
-        if left_col >= n:
-            alive[left_col] = False
+        if f or p != D:
+            d = [(p * a - f * c) // D for a, c in zip(d, prow)]
+            value = (p * value - f * bl) // D
+        D = p
         basis[leave] = enter
 
     if value != 0:
@@ -310,7 +338,7 @@ def solve_nonneg(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | F
     x = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = b[i]
+            x[j] = Fraction(b[i], D)
     return x
 
 
@@ -327,19 +355,18 @@ def _strict_feasible(rows: Sequence[IntRow], strict: Sequence[IntRow]) -> Option
     plain = [r for r in rows if r not in strict_set]
     ordered = list(strict) + plain
     k = len(ordered)
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    A: list[list[int]] = []
+    b: list[int] = []
     for i, row in enumerate(ordered):
-        is_strict = i < len(strict)
-        slack = [Fraction(0)] * k
-        if is_strict:
-            line = [Fraction(x) for x in row] + [Fraction(-x) for x in row]
-            slack[i] = Fraction(-1)
-            b.append(Fraction(1))
+        slack = [0] * k
+        if i < len(strict):
+            line = list(row) + [-x for x in row]
+            slack[i] = -1
+            b.append(1)
         else:
-            line = [Fraction(-x) for x in row] + [Fraction(x) for x in row]
-            slack[i] = Fraction(1)
-            b.append(Fraction(0))
+            line = [-x for x in row] + list(row)
+            slack[i] = 1
+            b.append(0)
         A.append(line + slack)
     x = solve_nonneg(A, b)
     if x is None:
@@ -360,7 +387,9 @@ class _ConeAnalysis:
     projected_rows: tuple[IntRow, ...]
 
 
-@functools.lru_cache(maxsize=None)
+# bounded so that a long-lived process cannot grow it without limit; a whole
+# benchmark pass of CLI invocations makes about 150 misses
+@functools.lru_cache(maxsize=4096)
 def _analyze(system: LinearSystem) -> _ConeAnalysis:
     m = system.dim
     eqs = system.equalities

@@ -103,15 +103,6 @@ class LatticePolytope:
         diffs = [tuple(v - b for v, b in zip(p, base)) for p in verts[1:]]
         return exact_rank(diffs) if diffs else 0
 
-    def translate(self, offset: ExponentVector) -> "LatticePolytope":
-        if self.is_empty:
-            return self
-        return LatticePolytope(
-            self.dim,
-            frozenset(tuple(v + o for v, o in zip(p, offset)) for p in self.vertices),
-            False,
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,

@@ -13,8 +13,6 @@ alone answers most queries.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,8 +27,6 @@ from .exactgeom import intersect as intersect_systems
 from .laurent import ExponentVector, LaurentPolynomial
 
 RationalDirection = tuple[int, ...]
-
-THREADS_ENV_VAR = "LOGLIMSET_THREADS"
 
 # dot products are evaluated in int64 when safely below this bound
 _INT64_SAFE = 2**62
@@ -63,26 +59,6 @@ def pair_cone(
     return LinearSystem.make(dim, [equality], ineqs)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _nonzero_filter(systems: Sequence[LinearSystem]) -> list[LinearSystem]:
-    threads = _thread_count()
-    if threads > 1 and len(systems) > 8:
-        try:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                dims = list(pool.map(cone_dimension, systems, chunksize=8))
-            return [s for s, d in zip(systems, dims) if d > 0]
-        except OSError:
-            pass
-    return [s for s in systems if cone_dimension(s) > 0]
-
-
 def reduce_to_maximal(cells: Iterable[LinearSystem]) -> tuple[LinearSystem, ...]:
     """Drop cells contained in another cell; ties keep the lex-least system.
 
@@ -110,8 +86,7 @@ def _support_cells(support: frozenset[ExponentVector]) -> tuple[LinearSystem, ..
     if len(pts) < 2:
         return ()
     systems = {pair_cone(pts, a0, a1) for a0, a1 in itertools.combinations(pts, 2)}
-    nonzero = _nonzero_filter(sorted(systems))
-    return reduce_to_maximal(nonzero)
+    return reduce_to_maximal(s for s in sorted(systems) if cone_dimension(s) > 0)
 
 
 class SphericalComplex:
@@ -274,8 +249,8 @@ def intersect(c1: SphericalComplex, c2: SphericalComplex) -> SphericalComplex:
     if c2.full_sphere:
         return c1
     pieces = {intersect_systems(a, b) for a in c1.cells for b in c2.cells}
-    nonzero = _nonzero_filter(sorted(pieces))
-    return SphericalComplex(c1.dim, cells=reduce_to_maximal(nonzero))
+    cells = reduce_to_maximal(s for s in sorted(pieces) if cone_dimension(s) > 0)
+    return SphericalComplex(c1.dim, cells=cells)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
+from typing import Optional, Sequence
 
 from loglimset.laurent import LaurentPolynomial
 
@@ -60,3 +62,99 @@ def primitive_vectors_py(dim: int, height: int) -> list[tuple[int, ...]]:
         if g == 1:
             out.append(vec)
     return out
+
+
+# Reference phase-1 simplex on a Fraction tableau, with the crash basis and
+# Bland rule of exactgeom.solve_nonneg; tests compare the integer kernel to it.
+def solve_nonneg_fraction(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]) -> Optional[list[Fraction]]:
+    """Find x >= 0 with A x = b exactly, or None if infeasible."""
+    m = len(rows)
+    if m == 0:
+        return []
+    n = len(rows[0])
+    A = [[Fraction(v) for v in row] for row in rows]
+    b = [Fraction(v) for v in rhs]
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-v for v in A[i]]
+            b[i] = -b[i]
+
+    # crash basis from pre-existing unit columns
+    basis: list[int] = [-1] * m
+    taken: set[int] = set()
+    for i in range(m):
+        for j in range(n):
+            if j in taken or A[i][j] != 1:
+                continue
+            if all(A[k][j] == 0 for k in range(m) if k != i):
+                basis[i] = j
+                taken.add(j)
+                break
+    art_rows = [i for i in range(m) if basis[i] == -1]
+    if not art_rows:
+        x = [Fraction(0)] * n
+        for i, j in enumerate(basis):
+            x[j] = b[i]
+        return x
+
+    total = n + len(art_rows)
+    T = [row + [Fraction(0)] * len(art_rows) for row in A]
+    for k, i in enumerate(art_rows):
+        T[i][n + k] = Fraction(1)
+        basis[i] = n + k
+
+    # phase-1 objective: minimise the sum of artificials.  d[j] is the rate
+    # at which the objective drops when nonbasic column j enters.
+    d = [Fraction(0)] * total
+    value = Fraction(0)
+    for i in art_rows:
+        for j in range(total):
+            d[j] += T[i][j]
+        value += b[i]
+    for j in range(n, total):
+        d[j] = Fraction(0)  # artificials never re-enter
+    alive = [True] * total
+
+    while True:
+        enter = -1
+        for j in range(n):
+            if alive[j] and d[j] > 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best: Fraction | None = None
+        for i in range(m):
+            coef = T[i][enter]
+            if coef > 0:
+                ratio = b[i] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise ArithmeticError("phase-1 objective unbounded; inconsistent tableau")
+        piv = T[leave][enter]
+        T[leave] = [v / piv for v in T[leave]]
+        b[leave] = b[leave] / piv
+        for i in range(m):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [a - f * c for a, c in zip(T[i], T[leave])]
+                b[i] -= f * b[leave]
+        f = d[enter]
+        if f != 0:
+            d = [a - f * c for a, c in zip(d, T[leave])]
+            value -= f * b[leave]
+        left_col = basis[leave]
+        if left_col >= n:
+            alive[left_col] = False
+        basis[leave] = enter
+
+    if value != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = b[i]
+    return x

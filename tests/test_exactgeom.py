@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import primitive_vectors_py
+from conftest import primitive_vectors_py, solve_nonneg_fraction
 from loglimset.exactgeom import (
     LinearSystem,
     cone_contains,
@@ -203,3 +203,76 @@ class TestLowLevel:
         assert cone_contains(quadrant, half)
         assert not cone_contains(quadrant, ray)
         assert not cone_contains(half, quadrant)
+
+
+def _random_system(rng: random.Random, feasible: bool) -> tuple[list[list[int]], list[int]]:
+    """m 1-7 rows, n 1-30 columns; sparse rows often give crash-basis unit columns."""
+    m = rng.randint(1, 7)
+    n = rng.randint(1, 30)
+    density = rng.choice((0.3, 0.6, 1.0))
+    rows = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+    if feasible:
+        x = [rng.randint(0, 3) if rng.random() < 0.5 else 0 for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    else:
+        rhs = [rng.randint(-9, 9) for _ in range(m)]
+    return rows, rhs
+
+
+class TestFractionFreeKernel:
+    """solve_nonneg against the Fraction-tableau simplex kept in conftest."""
+
+    def test_matches_fraction_kernel_on_random_integer_systems(self):
+        rng = random.Random(20260)
+        infeasible = 0
+        for k in range(2000):
+            rows, rhs = _random_system(rng, feasible=k % 2 == 0)
+            expected = solve_nonneg_fraction(rows, rhs)
+            assert solve_nonneg(rows, rhs) == expected, (rows, rhs)
+            infeasible += expected is None
+        # both outcomes must be well represented for the comparison to mean much
+        assert 100 < infeasible < 1000
+
+    def test_bland_breaks_equal_ratios_by_least_basic_column(self):
+        # entering column 0 ties rows 1 and 2 at ratio 1/2; row 2's basic
+        # column (2) is below row 1's artificial, so row 2 leaves.  Breaking
+        # ties the other way ends at the other vertex (0, 0, 2, 1, 0).
+        rows = [(1, 0, 0, 2, 1), (2, 0, 0, 1, -1), (2, 2, 1, -1, 2)]
+        rhs = (2, 1, 1)
+        expected = [Fraction(0), Fraction(1), Fraction(0), Fraction(1), Fraction(0)]
+        assert solve_nonneg_fraction(rows, rhs) == expected
+        assert solve_nonneg(rows, rhs) == expected
+
+    def test_rational_input_agrees_on_feasibility(self):
+        rng = random.Random(4242)
+        feasible = 0
+        for k in range(300):
+            rows, rhs = _random_system(rng, feasible=k % 2 == 0)
+            # positive row scales keep the feasible set; positive column
+            # scales map it onto itself, so feasible systems stay feasible
+            row_scale = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in rows]
+            col_scale = [Fraction(1, rng.randint(1, 3)) for _ in rows[0]]
+            q_rows = [[a * s * t for a, t in zip(row, col_scale)] for row, s in zip(rows, row_scale)]
+            q_rhs = [r * s for r, s in zip(rhs, row_scale)]
+            expected = solve_nonneg_fraction(q_rows, q_rhs)
+            x = solve_nonneg(q_rows, q_rhs)
+            assert (x is None) == (expected is None), (q_rows, q_rhs)
+            if x is not None:
+                feasible += 1
+                assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+                assert all(sum(a * v for a, v in zip(row, x)) == r for row, r in zip(q_rows, q_rhs))
+        assert 150 <= feasible < 300
+
+    def test_rational_rows_solved_exactly(self):
+        # x/2 + y/3 = 1 with x = 2y: the only solution is (3/2, 3/4)
+        x = solve_nonneg([(Fraction(1, 2), Fraction(1, 3)), (1, -2)], (1, 0))
+        assert x == [Fraction(3, 2), Fraction(3, 4)]
+
+    def test_no_artificials_returns_fractions(self):
+        x = solve_nonneg([(1, 0, 2), (0, 1, 3)], (4, 5))
+        assert x == [Fraction(4), Fraction(5), Fraction(0)]
+        assert all(type(v) is Fraction for v in x)
+
+    def test_empty_system(self):
+        assert solve_nonneg([], []) == []
+

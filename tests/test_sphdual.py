@@ -270,12 +270,3 @@ class TestJson:
         }
         assert c.to_json_dict() == golden
         assert json.dumps(c.to_json_dict(), sort_keys=True) == json.dumps(golden, sort_keys=True)
-
-
-class TestParallelMaterialisation:
-    def test_thread_env_var_gives_identical_cells(self, monkeypatch):
-        f = parse("x^3*y^-2 + x + y^2 + x^-1*y + 5", ("x", "y"))
-        sequential = spherical_dual(f).cells
-        monkeypatch.setenv("LOGLIMSET_THREADS", "2")
-        parallel = spherical_dual(f).cells
-        assert sequential == parallel
