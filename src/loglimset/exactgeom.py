@@ -31,6 +31,9 @@ def primitive_vector(v: Sequence[int | Fraction]) -> IntRow | None:
     Returns None for the zero vector.  The direction (sign pattern) is kept,
     so inequality rows stay equivalent.
     """
+    if all(isinstance(x, int) for x in v):
+        g = gcd(*v)
+        return tuple(x // g for x in v) if g else None
     fracs = [Fraction(x) for x in v]
     if all(x == 0 for x in fracs):
         return None

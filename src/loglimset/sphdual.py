@@ -7,7 +7,9 @@ polynomial.  Membership has two routes: the direct support test (the maximum
 of ``xi . alpha`` over the defining support is attained at least twice),
 used whenever a defining support is known, and exact cell membership
 otherwise.  Cells are built lazily from supports because the support test
-alone answers most queries.
+alone answers most queries.  The cells of one support are the normal cones of
+its Newton polytope's edges: the dual is the codimension-1 skeleton of the
+polytope's normal fan.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .exactgeom import (
 )
 from .exactgeom import intersect as intersect_systems
 from .laurent import ExponentVector, LaurentPolynomial
+from .polytope import extreme_points
 
 RationalDirection = tuple[int, ...]
 
@@ -82,11 +85,17 @@ def reduce_to_maximal(cells: Iterable[LinearSystem]) -> tuple[LinearSystem, ...]
 
 
 def _support_cells(support: frozenset[ExponentVector]) -> tuple[LinearSystem, ...]:
+    # The normal cones of the Newton polytope's edges.  The normal cone of a
+    # face F has dimension dim - dim F, so a vertex pair spans an edge exactly
+    # when its pair cone has dimension dim - 1; distinct edge cones are never
+    # nested.  In one variable the edge cone is the zero cone: no cells.
     pts = sorted(support)
-    if len(pts) < 2:
+    dim = len(pts[0]) if pts else 0
+    if len(pts) < 2 or dim == 1:
         return ()
-    systems = {pair_cone(pts, a0, a1) for a0, a1 in itertools.combinations(pts, 2)}
-    return reduce_to_maximal(s for s in sorted(systems) if cone_dimension(s) > 0)
+    vertices = sorted(extreme_points(pts, dim))
+    systems = {pair_cone(pts, u, v) for u, v in itertools.combinations(vertices, 2)}
+    return tuple(s for s in sorted(systems) if cone_dimension(s) == dim - 1)
 
 
 class SphericalComplex:
@@ -188,8 +197,8 @@ def spherical_dual(f: LaurentPolynomial) -> SphericalComplex:
     """Spherical dual of the Newton polytope of f.
 
     The dual of the zero polynomial is the whole sphere; the dual of a single
-    monomial is empty; otherwise it is the union of the nonzero pair cones of
-    the support, reduced to maximal cells.
+    monomial is empty; otherwise its cells are the normal cones of the
+    polytope's edges, which form the codimension-1 skeleton of its normal fan.
     """
     dim = len(f.variables)
     if f.is_zero():
@@ -311,16 +320,16 @@ def _support_mask(support: frozenset[ExponentVector], dirs: np.ndarray, height: 
 def _cell_mask(cell: LinearSystem, dirs: np.ndarray, height: int) -> np.ndarray:
     rows = list(cell.equalities) + list(cell.inequalities)
     maxabs = max((abs(x) for row in rows for x in row), default=0)
-    use_int64 = maxabs * height * cell.dim < _INT64_SAFE
+    dtype = np.int64 if maxabs * height * cell.dim < _INT64_SAFE else object
     mask = np.ones(len(dirs), dtype=bool)
     if cell.equalities:
-        eq = np.array(cell.equalities, dtype=np.int64 if use_int64 else object)
-        target = eq @ (dirs.T if use_int64 else dirs.T.astype(object))
-        mask &= (target == 0).all(axis=0)
+        eq = np.array(cell.equalities, dtype=dtype)
+        mask &= ((eq @ dirs.T.astype(dtype, copy=False)) == 0).all(axis=0)
     if cell.inequalities:
-        iq = np.array(cell.inequalities, dtype=np.int64 if use_int64 else object)
-        values = iq @ (dirs.T if use_int64 else dirs.T.astype(object))
-        mask &= (values >= 0).all(axis=0)
+        # the equalities keep few directions: test the inequalities on those only
+        idx = np.nonzero(mask)[0]
+        iq = np.array(cell.inequalities, dtype=dtype)
+        mask[idx] = ((iq @ dirs[idx].T.astype(dtype, copy=False)) >= 0).all(axis=0)
     return mask
 
 

@@ -12,7 +12,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
+from loglimset.exactgeom import LinearSystem, cone_dimension
 from loglimset.laurent import LaurentPolynomial
+from loglimset.sphdual import pair_cone, reduce_to_maximal
 
 
 def random_laurent(
@@ -158,3 +160,13 @@ def solve_nonneg_fraction(rows: Sequence[Sequence[int | Fraction]], rhs: Sequenc
         if j < n:
             x[j] = b[i]
     return x
+
+
+# Reference cells of one support, built from every pair of support points: the
+# nonzero pair cones reduced to maximal cells.  Tests compare the edge
+# construction of sphdual to it.
+def support_cells_all_pairs(support) -> tuple[LinearSystem, ...]:
+    """Maximal cells of the spherical dual of one support."""
+    pts = sorted(support)
+    systems = {pair_cone(pts, a0, a1) for a0, a1 in itertools.combinations(pts, 2)}
+    return reduce_to_maximal(s for s in sorted(systems) if cone_dimension(s) > 0)

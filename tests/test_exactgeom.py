@@ -171,6 +171,12 @@ class TestLowLevel:
         assert primitive_vector((4, -6)) == (2, -3)
         assert primitive_vector((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
         assert primitive_vector((0, 0)) is None
+        assert primitive_vector((Fraction(0), 0)) is None
+        # integer rows take the gcd path; the same values as Fractions do not
+        rng = random.Random(5)
+        for _ in range(200):
+            v = tuple(rng.randint(-12, 12) for _ in range(rng.randint(1, 5)))
+            assert primitive_vector(v) == primitive_vector([Fraction(x) for x in v])
 
     def test_nullspace_basis(self):
         basis = nullspace_basis([(1, 1, 1)], 3)

@@ -1,9 +1,10 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from conftest import primitive_vectors_py, random_laurent, support_max_twice
+from conftest import primitive_vectors_py, random_laurent, support_cells_all_pairs, support_max_twice
 from loglimset.exactgeom import LinearSystem
 from loglimset.laurent import LaurentPolynomial, parse
 from loglimset.sphdual import (
@@ -211,6 +212,73 @@ class TestCellDimensions:
     def test_ray_directions_of_line_cell(self):
         c = spherical_dual(parse("l*m^6+1", ("m", "l")))
         assert ray_directions(c) == ((-1, 6), (1, -6))
+
+
+def _affine_support(rng, m, rank):
+    """Support of a few points spanning an affine subspace of the given rank."""
+    base = [rng.randint(-2, 2) for _ in range(m)]
+    gens = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(rank)]
+    pts = set()
+    for _ in range(rng.randint(2, 6)):
+        coeffs = [rng.randint(-2, 2) for _ in range(rank)]
+        pts.add(tuple(b + sum(c * g[i] for c, g in zip(coeffs, gens)) for i, b in enumerate(base)))
+    return pts
+
+
+def _support_with_edge_points(rng, m):
+    """Random support plus points on the line through two of its points."""
+    a, b = (tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(2))
+    pts = {tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(0, 4))}
+    pts.update(tuple(x + k * (y - x) for x, y in zip(a, b)) for k in (-1, 0, 1, 2))
+    return pts
+
+
+class TestEdgeConstruction:
+    def test_matches_all_pairs_oracle(self):
+        rng = random.Random(31)
+        variables = ("x", "y", "z", "w")
+        kinds = ("random", "line", "plane", "edge_points", "two_points")
+        checked = 0
+        for trial in range(80):
+            m = 1 + trial % 4
+            kind = kinds[(trial // 4) % len(kinds)]
+            if kind == "random":
+                pts = {tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(2, 9))}
+            elif kind == "line":
+                pts = _affine_support(rng, m, 1)
+            elif kind == "plane":
+                pts = _affine_support(rng, m, 2)
+            elif kind == "edge_points":
+                pts = _support_with_edge_points(rng, m)
+            else:
+                pts = {tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(2)}
+            f = LaurentPolynomial(variables[:m], {p: rng.randint(1, 9) for p in pts})
+            expected = SphericalComplex(m, cells=support_cells_all_pairs(pts))
+            got = json.dumps(spherical_dual(f).to_json_dict(), sort_keys=True)
+            assert got == json.dumps(expected.to_json_dict(), sort_keys=True), (m, kind, sorted(pts))
+            checked += len(pts) >= 2
+        assert checked >= 60
+
+    @pytest.mark.parametrize(
+        "points, edges",
+        [
+            ([(0, 0), (1, 0), (0, 1), (1, 1)], 4),
+            ([(i, j) for i in range(3) for j in range(3)], 4),
+            (list(itertools.product((0, 1), repeat=3)), 12),
+            ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 6),
+            ([tuple(s * (i == k) for k in range(3)) for i in range(3) for s in (1, -1)], 12),
+            ([(2, -1, 3), (0, 1, -1)], 1),
+            ([(1,), (0,)], 0),
+        ],
+        ids=["square", "square_with_centre_and_midpoints", "cube", "simplex", "octahedron",
+             "two_points_in_3d", "x_plus_1"],
+    )
+    def test_one_cell_per_edge(self, points, edges):
+        m = len(points[0])
+        f = LaurentPolynomial(("x", "y", "z")[:m], {p: 1 for p in points})
+        c = spherical_dual(f)
+        assert len(c.cells) == edges
+        assert cell_dimensions(c) == (m - 2,) * edges
 
 
 class TestMaximalReduction:
