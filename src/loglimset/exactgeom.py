@@ -1,143 +1,130 @@
-"""Exact rational linear algebra and LP feasibility for polyhedral cones.
+"""Exact integer linear algebra and LP feasibility for polyhedral cones.
 
 Cones are described by homogeneous integer linear systems (rows meaning
-``row . xi = 0`` or ``row . xi >= 0``).  Everything is exact: elimination
-runs in Fraction arithmetic, and feasibility uses a phase-1 simplex with
-fraction-free integer pivoting (Bareiss) and Bland's anti-cycling rule.
-Cone dimension is obtained by testing which inequalities admit a strictly
-positive value over the cone.
+``row . xi = 0`` or ``row . xi >= 0``).  Everything is exact and stays in
+the integers: elimination is fraction-free (a row is reduced against a pivot
+row with ``p*row - f*prow``, p > 0, and kept primitive), and feasibility
+uses a phase-1 simplex with fraction-free integer pivoting (Bareiss) and
+Bland's anti-cycling rule.  Cone dimension is obtained by testing which
+inequalities admit a strictly positive value over the cone.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-RationalVector = tuple[Fraction, ...]
-RationalMatrix = tuple[RationalVector, ...]
 IntRow = tuple[int, ...]
 
 
-def dot(a: Sequence[int | Fraction], b: Sequence[int | Fraction]) -> Fraction | int:
+def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def primitive_vector(v: Sequence[int | Fraction]) -> IntRow | None:
-    """Scale by a positive rational to a primitive integer vector.
+def primitive_vector(v: Sequence[int]) -> IntRow | None:
+    """Divide by the gcd of the entries; None for the zero vector.
 
-    Returns None for the zero vector.  The direction (sign pattern) is kept,
-    so inequality rows stay equivalent.
+    The direction (sign pattern) is kept, so inequality rows stay equivalent.
     """
-    if all(isinstance(x, int) for x in v):
-        g = gcd(*v)
-        return tuple(x // g for x in v) if g else None
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        return None
-    denom_lcm = 1
-    for x in fracs:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
-
-
-def _sign_canonical(row: IntRow) -> IntRow:
-    for x in row:
-        if x > 0:
-            return row
-        if x < 0:
-            return tuple(-y for y in row)
-    return row
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g else None
 
 
 # ----------------------------------------------------------------------
-# exact elimination
+# exact elimination (fraction-free)
 
 
-def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[int], list[list[Fraction]]]:
-    """Reduced row echelon form over Q.  Returns (pivot columns, rows)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def rref(rows: Iterable[Sequence[int]]) -> tuple[list[int], list[IntRow]]:
+    """Reduced row echelon form over Z.  Returns (pivot columns, rows).
+
+    Each row is primitive, has a positive pivot and is the only nonzero row
+    in its pivot column: the rational RREF up to a positive scale per row.
+    Eliminating with ``p*row - f*prow`` (p > 0) keeps every row a positive
+    multiple of its rational counterpart, so the pivots are the same.
+    """
+    mat = [list(row) for row in rows]
     pivots: list[int] = []
-    out: list[list[Fraction]] = []
     if not mat:
-        return pivots, out
-    width = len(mat[0])
+        return pivots, []
     r = 0
-    for col in range(width):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                pivot_row = i
-                break
+    for col in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
+        g = gcd(*mat[r]) if mat[r][col] > 0 else -gcd(*mat[r])
+        prow = mat[r] = [x // g for x in mat[r]]
+        p = prow[col]
         for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][col]
+            if i != r and f:
+                row = [p * a - f * c for a, c in zip(mat[i], prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g else row
         pivots.append(col)
         r += 1
         if r == len(mat):
             break
-    return pivots, mat[: len(pivots)]
+    return pivots, [tuple(row) for row in mat[:r]]
 
 
-def exact_rank(rows: Iterable[Sequence[int | Fraction]]) -> int:
+def exact_rank(rows: Iterable[Sequence[int]]) -> int:
     pivots, _ = rref(rows)
     return len(pivots)
 
 
-def nullspace_basis(rows: Iterable[Sequence[int | Fraction]], width: int) -> list[IntRow]:
-    """Primitive integer basis of {x : row . x = 0 for all rows}."""
-    mat = [list(row) for row in rows]
-    if not mat:
-        return [tuple(1 if j == i else 0 for j in range(width)) for i in range(width)]
-    pivots, reduced = rref(mat)
-    free_cols = [c for c in range(width) if c not in pivots]
+def nullspace_basis(rows: Iterable[Sequence[int]], width: int) -> list[IntRow]:
+    """Primitive integer basis of {x : row . x = 0 for all rows}.
+
+    The vector of free column j is the rational one (1 at j, ``-prow[j]/p``
+    at each pivot) scaled by the lcm of the pivots p.
+    """
+    pivots, reduced = rref(rows)
+    scale = lcm(*(prow[pcol] for prow, pcol in zip(reduced, pivots)))
     basis: list[IntRow] = []
-    for free in free_cols:
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
+    for free in range(width):
+        if free in pivots:
+            continue
+        vec = [0] * width
+        vec[free] = scale
         for prow, pcol in zip(reduced, pivots):
-            vec[pcol] = -prow[free]
-        prim = primitive_vector(vec)
-        assert prim is not None
-        basis.append(prim)
+            vec[pcol] = -prow[free] * (scale // prow[pcol])
+        basis.append(primitive_vector(vec))
     return basis
 
 
-def _echelon_primitive(rows: Iterable[IntRow]) -> tuple[IntRow, ...]:
-    """Canonical primitive-integer echelon basis of the row span."""
-    pivots, reduced = rref(rows)
-    out = []
-    for row in reduced:
-        prim = primitive_vector(row)
-        assert prim is not None
-        out.append(_sign_canonical(prim))
-    return tuple(sorted(out))
-
-
-def _reduce_modulo(row: IntRow, pivots: list[int], reduced: list[list[Fraction]]) -> IntRow | None:
-    """Reduce a row modulo a row span given in RREF; primitive result or None."""
-    vec = [Fraction(x) for x in row]
+def _reduce_modulo(row: IntRow, pivots: list[int], reduced: list[IntRow]) -> IntRow | None:
+    """Reduce a row modulo a row span given by :func:`rref`; primitive result or None."""
+    vec: Sequence[int] = row
     for prow, pcol in zip(reduced, pivots):
-        factor = vec[pcol]
-        if factor != 0:
-            vec = [a - factor * b for a, b in zip(vec, prow)]
+        f = vec[pcol]
+        if f:
+            p = prow[pcol]
+            vec = [p * a - f * c for a, c in zip(vec, prow)]
     return primitive_vector(vec)
 
 
 # ----------------------------------------------------------------------
 # linear systems
+
+
+def _primitive_rows(rows: Iterable[Sequence[int]], dim: int) -> list[IntRow]:
+    """The nonzero rows as primitive tuples of plain ints, validated."""
+    out: list[IntRow] = []
+    for row in rows:
+        if len(row) != dim:
+            raise ValueError(f"row {tuple(row)} has length {len(row)}, expected {dim}")
+        try:
+            ints = [operator.index(x) for x in row]
+        except TypeError:
+            raise ValueError(f"row {tuple(row)} has a non-integer entry") from None
+        prim = primitive_vector(ints)
+        if prim is not None:
+            out.append(prim)
+    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -163,23 +150,11 @@ class LinearSystem:
     ) -> "LinearSystem":
         if dim < 1:
             raise ValueError("ambient dimension must be positive")
-        eq_rows: list[IntRow] = []
-        for row in equalities:
-            if len(row) != dim:
-                raise ValueError(f"row {tuple(row)} has length {len(row)}, expected {dim}")
-            prim = primitive_vector(row)
-            if prim is not None:
-                eq_rows.append(prim)
-        ineq_rows: list[IntRow] = []
-        for row in inequalities:
-            if len(row) != dim:
-                raise ValueError(f"row {tuple(row)} has length {len(row)}, expected {dim}")
-            prim = primitive_vector(row)
-            if prim is not None:
-                ineq_rows.append(prim)
+        eq_rows = _primitive_rows(equalities, dim)
+        ineq_rows = _primitive_rows(inequalities, dim)
         while True:
             pivots, reduced = rref(eq_rows)
-            canon_eqs = _echelon_primitive(eq_rows) if eq_rows else ()
+            canon_eqs = tuple(sorted(reduced))
             seen: set[IntRow] = set()
             for row in ineq_rows:
                 rr = _reduce_modulo(row, pivots, reduced)
@@ -195,7 +170,7 @@ class LinearSystem:
         """True when the system constrains nothing (whole space)."""
         return not self.equalities and not self.inequalities
 
-    def satisfied_by(self, xi: Sequence[int | Fraction]) -> bool:
+    def satisfied_by(self, xi: Sequence[int]) -> bool:
         if len(xi) != self.dim:
             raise ValueError(f"point has length {len(xi)}, expected {self.dim}")
         return all(dot(row, xi) == 0 for row in self.equalities) and all(
@@ -224,47 +199,26 @@ def intersect(s1: LinearSystem, s2: LinearSystem) -> LinearSystem:
 # phase-1 simplex (Bland's rule, exact fraction-free integer pivoting)
 
 
-def _integer_rows(
-    rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
-) -> tuple[list[list[int]], list[int]]:
-    """Integer copies of the rows and rhs, each row scaled to clear denominators.
-
-    Scaling a row and its rhs by a positive integer keeps the feasible set.
-    Integer rows are copied as they are.
-    """
-    A: list[list[int]] = []
-    b: list[int] = []
-    for row, r in zip(rows, rhs):
-        if isinstance(r, int) and all(isinstance(v, int) for v in row):
-            A.append(list(row))
-            b.append(r)
-            continue
-        fracs = [Fraction(v) for v in row]
-        fr = Fraction(r)
-        scale = lcm(fr.denominator, *(v.denominator for v in fracs))
-        A.append([v.numerator * (scale // v.denominator) for v in fracs])
-        b.append(fr.numerator * (scale // fr.denominator))
-    return A, b
-
-
-def solve_nonneg(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]) -> Optional[list[Fraction]]:
+def solve_nonneg(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[tuple[list[int], int]]:
     """Find x >= 0 with A x = b exactly, or None if infeasible.
 
-    The tableau is kept in integers: every entry of T, b and the objective
-    row d, and the objective value, is D times its true value, where D is
-    the determinant of the current basis (D = 1 for the starting basis of
-    unit columns).  A pivot on p = T[leave][enter] > 0 leaves the pivot row
-    as it is, maps every other entry a with multiplier f = T[i][enter] to
-    (p*a - f*c) // D, where c is the pivot row's entry in a's column (an
-    exact division, Bareiss 1968), and then sets D = p.  Since D > 0, sign
-    tests and cross-multiplied ratio comparisons decide exactly as on the
-    true values.
+    The solution is returned in integers as ``(y, D)`` with ``x = y / D``
+    and D > 0.  The tableau is kept in integers: every entry of T, b and
+    the objective row d, and the objective value, is D times its true
+    value, where D is the determinant of the current basis (D = 1 for the
+    starting basis of unit columns).  A pivot on p = T[leave][enter] > 0
+    leaves the pivot row as it is, maps every other entry a with multiplier
+    f = T[i][enter] to (p*a - f*c) // D, where c is the pivot row's entry in
+    a's column (an exact division, Bareiss 1968), and then sets D = p.
+    Since D > 0, sign tests and cross-multiplied ratio comparisons decide
+    exactly as on the true values.
     """
     m = len(rows)
     if m == 0:
-        return []
+        return [], 1
     n = len(rows[0])
-    T, b = _integer_rows(rows, rhs)
+    T = [list(row) for row in rows]
+    b = list(rhs)
     for i in range(m):
         if b[i] < 0:
             T[i] = [-v for v in T[i]]
@@ -282,17 +236,13 @@ def solve_nonneg(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | F
                 taken.add(j)
                 break
     art_rows = [i for i in range(m) if basis[i] == -1]
-    if not art_rows:
-        x = [Fraction(0)] * n
-        for i, j in enumerate(basis):
-            x[j] = Fraction(b[i])
-        return x
     for k, i in enumerate(art_rows):
         basis[i] = n + k
 
-    # phase-1 objective: minimise the sum of artificials.  d[j] is the rate
-    # at which the objective drops when structural column j enters.  The
-    # artificial columns never re-enter, so neither T nor d stores them.
+    # phase-1 objective: minimise the sum of artificials (with none, d is
+    # zero and the crash basis is the answer).  d[j] is the rate at which
+    # the objective drops when structural column j enters.  The artificial
+    # columns never re-enter, so neither T nor d stores them.
     d = [sum(T[i][j] for i in art_rows) for j in range(n)]
     value = sum(b[i] for i in art_rows)
     D = 1
@@ -338,15 +288,15 @@ def solve_nonneg(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | F
 
     if value != 0:
         return None
-    x = [Fraction(0)] * n
+    y = [0] * n
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = Fraction(b[i], D)
-    return x
+            y[j] = b[i]
+    return y, D
 
 
-def _strict_feasible(rows: Sequence[IntRow], strict: Sequence[IntRow]) -> Optional[list[Fraction]]:
-    """A point y with row.y >= 0 for all rows and row.y >= 1 for strict rows.
+def _strict_feasible(rows: Sequence[IntRow], strict: Sequence[IntRow]) -> Optional[tuple[list[int], int]]:
+    """A point y / D with row.y >= 0 for all rows and row.y >= D for strict rows.
 
     Free variables are split as y = u - w; slack columns make the zero-rhs
     rows a ready-made basis, so artificials are only needed on strict rows.
@@ -371,10 +321,11 @@ def _strict_feasible(rows: Sequence[IntRow], strict: Sequence[IntRow]) -> Option
             slack[i] = 1
             b.append(0)
         A.append(line + slack)
-    x = solve_nonneg(A, b)
-    if x is None:
+    sol = solve_nonneg(A, b)
+    if sol is None:
         return None
-    return [x[j] - x[d + j] for j in range(d)]
+    x, D = sol
+    return [x[j] - x[d + j] for j in range(d)], D
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +336,6 @@ def _strict_feasible(rows: Sequence[IntRow], strict: Sequence[IntRow]) -> Option
 class _ConeAnalysis:
     dimension: int
     interior: IntRow | None
-    span_dim: int
     span_basis: tuple[IntRow, ...]
     projected_rows: tuple[IntRow, ...]
 
@@ -396,12 +346,8 @@ class _ConeAnalysis:
 def _analyze(system: LinearSystem) -> _ConeAnalysis:
     m = system.dim
     eqs = system.equalities
-    span_dim = m - exact_rank(eqs) if eqs else m
-    if span_dim == 0:
-        return _ConeAnalysis(0, None, 0, (), ())
-    basis = tuple(nullspace_basis(eqs, m)) if eqs else tuple(
-        tuple(1 if j == i else 0 for j in range(m)) for i in range(m)
-    )
+    basis = tuple(nullspace_basis(eqs, m))
+    span_dim = len(basis)
     projected: set[IntRow] = set()
     for row in system.inequalities:
         pr = primitive_vector([dot(row, v) for v in basis])
@@ -417,7 +363,7 @@ def _analyze(system: LinearSystem) -> _ConeAnalysis:
         else:
             candidates.append(r)
 
-    witnesses: list[list[Fraction]] = []
+    witnesses: list[tuple[list[int], int]] = []
     if candidates:
         joint = _strict_feasible(proj_rows, candidates)
         if joint is not None:
@@ -430,21 +376,20 @@ def _analyze(system: LinearSystem) -> _ConeAnalysis:
                 else:
                     witnesses.append(w)
 
-    cone_dim = span_dim - (exact_rank(implicit) if implicit else 0)
+    cone_dim = span_dim - exact_rank(implicit)
     if cone_dim == 0:
-        return _ConeAnalysis(0, None, span_dim, basis, proj_rows)
+        return _ConeAnalysis(0, None, basis, proj_rows)
 
     if witnesses:
-        y = [sum(w[j] for w in witnesses) for j in range(span_dim)]
+        # the sum of the witnesses y / D, scaled by the lcm of their D
+        scale = lcm(*(D for _, D in witnesses))
+        y = [sum(w[j] * (scale // D) for w, D in witnesses) for j in range(span_dim)]
     else:
-        y = [Fraction(x) for x in nullspace_basis(implicit, span_dim)[0]]
-    point = [Fraction(0)] * m
-    for coeff, vec in zip(y, basis):
-        for j in range(m):
-            point[j] += coeff * vec[j]
+        y = list(nullspace_basis(implicit, span_dim)[0])
+    point = [sum(coeff * vec[j] for coeff, vec in zip(y, basis)) for j in range(m)]
     prim = primitive_vector(point)
     assert prim is not None
-    return _ConeAnalysis(cone_dim, prim, span_dim, basis, proj_rows)
+    return _ConeAnalysis(cone_dim, prim, basis, proj_rows)
 
 
 def cone_dimension(system: LinearSystem) -> int:
@@ -464,8 +409,6 @@ def interior_point(system: LinearSystem) -> IntRow | None:
 def cone_strict_feasible(system: LinearSystem, row: Sequence[int]) -> bool:
     """Is there a point of the cone with ``row . xi > 0``?"""
     info = _analyze(system)
-    if info.span_dim == 0:
-        return False
     pr = primitive_vector([dot(row, v) for v in info.span_basis])
     if pr is None:
         return False
@@ -473,7 +416,7 @@ def cone_strict_feasible(system: LinearSystem, row: Sequence[int]) -> bool:
 
 
 def cone_contains(inner: LinearSystem, outer: LinearSystem) -> bool:
-    """Exact test cone(inner) <= cone(outer) for nonzero inner cones."""
+    """Exact test cone(inner) <= cone(outer); the zero cone lies in every cone."""
     if inner.dim != outer.dim:
         raise ValueError("ambient dimensions differ")
     if inner == outer:

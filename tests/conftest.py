@@ -7,14 +7,25 @@ loops, no library internals) so the tests compare two independent routes.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Iterable, Optional, Sequence
 
+import loglimset
 from loglimset.exactgeom import LinearSystem, cone_dimension
 from loglimset.laurent import LaurentPolynomial
 from loglimset.sphdual import pair_cone, reduce_to_maximal
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with the imported package's source root first on
+    PYTHONPATH, so ``python -m loglimset`` in a child runs the same code."""
+    src = str(Path(loglimset.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def random_laurent(
@@ -64,6 +75,39 @@ def primitive_vectors_py(dim: int, height: int) -> list[tuple[int, ...]]:
         if g == 1:
             out.append(vec)
     return out
+
+
+# Reference reduced row echelon form over Q in Fraction arithmetic; tests
+# compare the fraction-free elimination of exactgeom.rref to it.
+def rref_fraction(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[int], list[list[Fraction]]]:
+    """Reduced row echelon form over Q.  Returns (pivot columns, rows)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    out: list[list[Fraction]] = []
+    if not mat:
+        return pivots, out
+    width = len(mat[0])
+    r = 0
+    for col in range(width):
+        pivot_row = None
+        for i in range(r, len(mat)):
+            if mat[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return pivots, mat[: len(pivots)]
 
 
 # Reference phase-1 simplex on a Fraction tableau, with the crash basis and

@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from conftest import primitive_vectors_py, random_laurent, support_max_twice
+from conftest import primitive_vectors_py, random_laurent, subprocess_env, support_max_twice
 from loglimset import cli
 from loglimset.knots import TorusKnotParams, detected_slopes, verify_psl2_relation
 from loglimset.laurent import parse
@@ -203,8 +203,9 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     # one double-run through a real process boundary as well
     command = [sys.executable, "-m", "loglimset", "sample", str(triangle), "--vars", "x,y",
                "--grid", "10", "--phases", "3", "--seed", "5"]
-    first = subprocess.run(command, capture_output=True)
-    second = subprocess.run(command, capture_output=True)
+    env = subprocess_env()
+    first = subprocess.run(command, capture_output=True, env=env)
+    second = subprocess.run(command, capture_output=True, env=env)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     report(9, "every CLI golden invocation is byte-identical across runs", started, 10)

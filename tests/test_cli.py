@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import subprocess_env
 from loglimset import cli
 from loglimset.knots import TorusKnotParams, a_polynomial
 from loglimset.laurent import parse
@@ -284,6 +285,7 @@ class TestSubprocessEntry:
             [sys.executable, "-m", "loglimset", "newton", str(path), "--vars", "x,y"],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["vertices"] == [[0, 0], [0, 1], [1, 0]]

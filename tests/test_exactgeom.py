@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
-from conftest import primitive_vectors_py, solve_nonneg_fraction
+from conftest import primitive_vectors_py, rref_fraction, solve_nonneg_fraction
 from loglimset.exactgeom import (
     LinearSystem,
     cone_contains,
@@ -14,8 +17,18 @@ from loglimset.exactgeom import (
     intersect,
     nullspace_basis,
     primitive_vector,
+    rref,
     solve_nonneg,
 )
+
+
+def _as_fractions(result):
+    """The x of an integer solve_nonneg result (y, D), as Fractions y / D."""
+    if result is None:
+        return None
+    y, D = result
+    assert D > 0 and all(type(v) is int for v in y)
+    return [Fraction(v, D) for v in y]
 
 
 class TestCanonicalisation:
@@ -47,6 +60,20 @@ class TestCanonicalisation:
     def test_row_length_validated(self):
         with pytest.raises(ValueError):
             LinearSystem.make(2, equalities=[(1, 2, 3)])
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 0.5, 2.0])
+    def test_non_integer_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-integer"):
+            LinearSystem.make(2, equalities=[(1, bad)])
+        with pytest.raises(ValueError, match="non-integer"):
+            LinearSystem.make(2, inequalities=[(bad, 1)])
+
+    def test_numpy_rows_become_plain_ints(self):
+        rows = np.array([[2, -4], [0, 3]], dtype=np.int64)
+        s = LinearSystem.make(2, equalities=rows[:1], inequalities=rows[1:])
+        assert s == LinearSystem.make(2, equalities=[(1, -2)], inequalities=[(0, 1)])
+        assert all(type(x) is int for row in s.equalities + s.inequalities for x in row)
+        assert json.loads(json.dumps(s.to_json_dict())) == {"eq": [[1, -2]], "ineq": [[0, 1]]}
 
 
 class TestConeDimension:
@@ -169,14 +196,18 @@ class TestBruteForceOracle:
 class TestLowLevel:
     def test_primitive_vector(self):
         assert primitive_vector((4, -6)) == (2, -3)
-        assert primitive_vector((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
         assert primitive_vector((0, 0)) is None
-        assert primitive_vector((Fraction(0), 0)) is None
-        # integer rows take the gcd path; the same values as Fractions do not
         rng = random.Random(5)
         for _ in range(200):
             v = tuple(rng.randint(-12, 12) for _ in range(rng.randint(1, 5)))
-            assert primitive_vector(v) == primitive_vector([Fraction(x) for x in v])
+            # Euclid's algorithm, independent of math.gcd
+            g = 0
+            for x in v:
+                a, b = g, abs(x)
+                while b:
+                    a, b = b, a % b
+                g = a
+            assert primitive_vector(v) == (tuple(x // g for x in v) if g else None)
 
     def test_nullspace_basis(self):
         basis = nullspace_basis([(1, 1, 1)], 3)
@@ -186,7 +217,7 @@ class TestLowLevel:
 
     def test_solve_nonneg_feasible(self):
         # x + y = 2, x - y = 0 has the nonnegative solution (1, 1)
-        x = solve_nonneg([(1, 1), (1, -1)], (2, 0))
+        x = _as_fractions(solve_nonneg([(1, 1), (1, -1)], (2, 0)))
         assert x == [Fraction(1), Fraction(1)]
 
     def test_solve_nonneg_infeasible(self):
@@ -234,7 +265,7 @@ class TestFractionFreeKernel:
         for k in range(2000):
             rows, rhs = _random_system(rng, feasible=k % 2 == 0)
             expected = solve_nonneg_fraction(rows, rhs)
-            assert solve_nonneg(rows, rhs) == expected, (rows, rhs)
+            assert _as_fractions(solve_nonneg(rows, rhs)) == expected, (rows, rhs)
             infeasible += expected is None
         # both outcomes must be well represented for the comparison to mean much
         assert 100 < infeasible < 1000
@@ -247,38 +278,82 @@ class TestFractionFreeKernel:
         rhs = (2, 1, 1)
         expected = [Fraction(0), Fraction(1), Fraction(0), Fraction(1), Fraction(0)]
         assert solve_nonneg_fraction(rows, rhs) == expected
-        assert solve_nonneg(rows, rhs) == expected
+        assert _as_fractions(solve_nonneg(rows, rhs)) == expected
 
-    def test_rational_input_agrees_on_feasibility(self):
-        rng = random.Random(4242)
-        feasible = 0
-        for k in range(300):
-            rows, rhs = _random_system(rng, feasible=k % 2 == 0)
-            # positive row scales keep the feasible set; positive column
-            # scales map it onto itself, so feasible systems stay feasible
-            row_scale = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in rows]
-            col_scale = [Fraction(1, rng.randint(1, 3)) for _ in rows[0]]
-            q_rows = [[a * s * t for a, t in zip(row, col_scale)] for row, s in zip(rows, row_scale)]
-            q_rhs = [r * s for r, s in zip(rhs, row_scale)]
-            expected = solve_nonneg_fraction(q_rows, q_rhs)
-            x = solve_nonneg(q_rows, q_rhs)
-            assert (x is None) == (expected is None), (q_rows, q_rhs)
-            if x is not None:
-                feasible += 1
-                assert all(isinstance(v, Fraction) and v >= 0 for v in x)
-                assert all(sum(a * v for a, v in zip(row, x)) == r for row, r in zip(q_rows, q_rhs))
-        assert 150 <= feasible < 300
-
-    def test_rational_rows_solved_exactly(self):
-        # x/2 + y/3 = 1 with x = 2y: the only solution is (3/2, 3/4)
-        x = solve_nonneg([(Fraction(1, 2), Fraction(1, 3)), (1, -2)], (1, 0))
-        assert x == [Fraction(3, 2), Fraction(3, 4)]
-
-    def test_no_artificials_returns_fractions(self):
-        x = solve_nonneg([(1, 0, 2), (0, 1, 3)], (4, 5))
-        assert x == [Fraction(4), Fraction(5), Fraction(0)]
-        assert all(type(v) is Fraction for v in x)
+    def test_no_artificials_returns_unit_denominator(self):
+        y, D = solve_nonneg([(1, 0, 2), (0, 1, 3)], (4, 5))
+        assert (y, D) == ([4, 5, 0], 1)
+        assert all(type(v) is int for v in y)
 
     def test_empty_system(self):
-        assert solve_nonneg([], []) == []
+        assert solve_nonneg([], []) == ([], 1)
+
+
+def _random_matrix(rng: random.Random) -> list[list[int]]:
+    """1-6 rows, 1-6 columns; often zero rows, repeated rows or low rank."""
+    m = rng.randint(1, 6)
+    n = rng.randint(1, 6)
+    lo = rng.choice((1, 3, 9))
+    k = rng.randint(1, m)
+    rows = [[rng.randint(-lo, lo) for _ in range(n)] for _ in range(k)]
+    while len(rows) < m:
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append([0] * n)
+        elif kind == 1:
+            rows.append(list(rng.choice(rows)))
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            ca, cb = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([ca * x + cb * y for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return rows
+
+
+def _primitive_of_fractions(vec: list[Fraction]) -> tuple[int, ...]:
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in ints)
+
+
+class TestIntegerElimination:
+    """rref, exact_rank and nullspace_basis against the Fraction RREF in conftest."""
+
+    def test_matches_fraction_rref_on_random_matrices(self):
+        rng = random.Random(9040)
+        deficient = 0
+        for _ in range(1000):
+            rows = _random_matrix(rng)
+            width = len(rows[0])
+            pivots, reduced = rref(rows)
+            f_pivots, f_reduced = rref_fraction(rows)
+            assert pivots == f_pivots, rows
+            assert exact_rank(rows) == len(f_pivots)
+            deficient += len(f_pivots) < min(len(rows), width)
+            for row, f_row, col in zip(reduced, f_reduced, pivots):
+                # the oracle row has pivot 1, so the scale is the pivot entry
+                scale = row[col]
+                assert scale > 0 and list(row) == [scale * x for x in f_row], rows
+                assert gcd(*row) == 1
+            expected = []
+            for free in range(width):
+                if free in f_pivots:
+                    continue
+                vec = [Fraction(0)] * width
+                vec[free] = Fraction(1)
+                for f_row, col in zip(f_reduced, f_pivots):
+                    vec[col] = -f_row[free]
+                expected.append(_primitive_of_fractions(vec))
+            assert nullspace_basis(rows, width) == expected, rows
+        assert 300 < deficient < 900
+
+    def test_no_rows_give_unit_basis(self):
+        assert rref([]) == ([], [])
+        assert exact_rank([]) == 0
+        assert nullspace_basis([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
