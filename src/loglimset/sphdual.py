@@ -24,6 +24,7 @@ from .exactgeom import (
     cone_contains,
     cone_dimension,
     interior_point,
+    rref,
 )
 from .exactgeom import intersect as intersect_systems
 from .laurent import ExponentVector, LaurentPolynomial
@@ -159,7 +160,8 @@ class SphericalComplex:
         if self.full_sphere:
             return False
         if self._supports is not None:
-            return all(len(s) < 2 for s in self._supports)
+            # in one variable no direction attains a maximum twice
+            return self.dim == 1 or all(len(s) < 2 for s in self._supports)
         return not self.cells
 
     def materialized(self) -> "SphericalComplex":
@@ -266,42 +268,26 @@ def intersect(c1: SphericalComplex, c2: SphericalComplex) -> SphericalComplex:
 # rational directions
 
 
+_BLOCK_LIMIT = 2_000_000  # grid vectors handled in one allocation
+
+
+def _grid_blocks(dim: int, height: int):
+    """[-height, height]^dim in lex order, in blocks of at most ``_BLOCK_LIMIT``
+    vectors (or of one coordinate's values) to bound peak memory."""
+    side = 2 * height + 1
+    lead = 0
+    while dim - lead > 1 and side ** (dim - lead) > _BLOCK_LIMIT:
+        lead += 1
+    tail = np.indices((side,) * (dim - lead), dtype=np.int64).reshape(dim - lead, -1).T - height
+    for head in itertools.product(range(-height, height + 1), repeat=lead):
+        yield np.hstack([np.full((len(tail), lead), head, dtype=np.int64), tail])
+
+
 def primitive_directions(dim: int, height: int) -> np.ndarray:
     """All primitive integer vectors with max-norm <= height, in lex order."""
     if height < 1:
         raise ValueError("height must be positive")
-    axis = np.arange(-height, height + 1, dtype=np.int64)
-    grid = np.meshgrid(*([axis] * dim), indexing="ij")
-    vectors = np.stack([g.ravel() for g in grid], axis=1)
-    nonzero = vectors[np.any(vectors != 0, axis=1)]
-    g = np.gcd.reduce(np.abs(nonzero), axis=1)
-    return nonzero[g == 1]
-
-
-_BLOCK_LIMIT = 2_000_000  # grid vectors handled in one allocation
-
-
-def _direction_blocks(dim: int, height: int):
-    """Primitive directions in lex order, sliced to bound peak memory."""
-    if dim == 1 or (2 * height + 1) ** dim <= _BLOCK_LIMIT:
-        block = primitive_directions(dim, height)
-        if len(block):
-            yield block
-        return
-    axis = np.arange(-height, height + 1, dtype=np.int64)
-    grid = np.meshgrid(*([axis] * (dim - 1)), indexing="ij")
-    tail = np.stack([g.ravel() for g in grid], axis=1)
-    for first in axis:
-        block = np.concatenate(
-            [np.full((len(tail), 1), first, dtype=np.int64), tail], axis=1
-        )
-        nonzero = block[np.any(block != 0, axis=1)]
-        if not len(nonzero):
-            continue
-        g = np.gcd.reduce(np.abs(nonzero), axis=1)
-        primitive = nonzero[g == 1]
-        if len(primitive):
-            yield primitive
+    return np.concatenate(list(_cell_points(LinearSystem.make(dim), height)))
 
 
 def _support_mask(support: frozenset[ExponentVector], dirs: np.ndarray, height: int) -> np.ndarray:
@@ -309,48 +295,62 @@ def _support_mask(support: frozenset[ExponentVector], dirs: np.ndarray, height: 
     if len(pts) < 2:
         return np.zeros(len(dirs), dtype=bool)
     maxabs = max(abs(x) for p in pts for x in p)
-    if maxabs * height * len(pts[0]) < _INT64_SAFE:
-        products = np.array(pts, dtype=np.int64) @ dirs.T
-    else:
-        products = np.array(pts, dtype=object) @ dirs.T.astype(object)
+    dtype = np.int64 if maxabs * height * len(pts[0]) < _INT64_SAFE else object
+    products = np.array(pts, dtype=dtype) @ dirs.T.astype(dtype, copy=False)
     top = products.max(axis=0)
     return (products == top).sum(axis=0) >= 2
 
 
-def _cell_mask(cell: LinearSystem, dirs: np.ndarray, height: int) -> np.ndarray:
-    rows = list(cell.equalities) + list(cell.inequalities)
+def _cell_points(cell: LinearSystem, height: int):
+    """Blocks of the primitive vectors of max-norm <= height in a cell.
+
+    The free coordinates (the non-pivot columns of the equalities' echelon
+    form) run over [-height, height]^k; each pivot coordinate is solved from
+    them, ``p * x_pivot = -sum a_j x_j``, and kept when exact and in range.
+    """
+    pivots, reduced = rref(cell.equalities)
+    free = [j for j in range(cell.dim) if j not in pivots]
+    rows = reduced + list(cell.inequalities)
     maxabs = max((abs(x) for row in rows for x in row), default=0)
     dtype = np.int64 if maxabs * height * cell.dim < _INT64_SAFE else object
-    mask = np.ones(len(dirs), dtype=bool)
-    if cell.equalities:
-        eq = np.array(cell.equalities, dtype=dtype)
-        mask &= ((eq @ dirs.T.astype(dtype, copy=False)) == 0).all(axis=0)
-    if cell.inequalities:
-        # the equalities keep few directions: test the inequalities on those only
-        idx = np.nonzero(mask)[0]
-        iq = np.array(cell.inequalities, dtype=dtype)
-        mask[idx] = ((iq @ dirs[idx].T.astype(dtype, copy=False)) >= 0).all(axis=0)
-    return mask
+    coeffs = np.array([[row[j] for j in free] for row in reduced], dtype=dtype).reshape(-1, len(free))
+    leads = np.array([row[col] for row, col in zip(reduced, pivots)], dtype=dtype)
+    ineqs = np.array(cell.inequalities, dtype=dtype).reshape(-1, cell.dim)
+    for block in _grid_blocks(len(free), height):
+        numer = -(block.astype(dtype, copy=False) @ coeffs.T)
+        # pivots are positive, so |numer| <= height * p bounds the solved value
+        ok = ((numer % leads == 0) & (abs(numer) <= height * leads)).all(axis=1)
+        points = np.empty((int(ok.sum()), cell.dim), dtype=np.int64)
+        points[:, free] = block[ok]
+        points[:, pivots] = numer[ok] // leads
+        points = points[np.gcd.reduce(np.abs(points), axis=1) == 1]  # the zero vector has gcd 0
+        if len(ineqs):
+            points = points[(ineqs @ points.T.astype(dtype, copy=False) >= 0).all(axis=0)]
+        yield points
 
 
 def rational_points(complex_: SphericalComplex, height: int) -> tuple[RationalDirection, ...]:
-    """Every primitive direction of max-norm <= height lying in the complex."""
+    """Every primitive direction of max-norm <= height in the complex, in lex order.
+
+    Each cell is walked through the k coordinates its equalities leave free,
+    (2h+1)^k vectors whatever the ambient dimension m (k is the cell's
+    dimension unless an inequality hides an equality).  Supports and the
+    full sphere test the whole space, the cell with no rows: (2h+1)^m.
+    """
     if height < 1:
         raise ValueError("height must be positive")
-    out: list[RationalDirection] = []
-    for dirs in _direction_blocks(complex_.dim, height):
-        if complex_.full_sphere:
-            mask = np.ones(len(dirs), dtype=bool)
-        elif complex_.supports is not None:
-            mask = np.zeros(len(dirs), dtype=bool)
-            for support in complex_.supports:
-                mask |= _support_mask(support, dirs, height)
-        else:
-            mask = np.zeros(len(dirs), dtype=bool)
-            for cell in complex_.cells:
-                mask |= _cell_mask(cell, dirs, height)
-        out.extend(tuple(int(x) for x in row) for row in dirs[mask])
-    return tuple(out)
+    whole = complex_.full_sphere or complex_.supports is not None
+    cells = (LinearSystem.make(complex_.dim),) if whole else complex_.cells
+    found: set[RationalDirection] = set()
+    for cell in cells:
+        for points in _cell_points(cell, height):
+            if complex_.supports is not None:
+                mask = np.zeros(len(points), dtype=bool)
+                for support in complex_.supports:
+                    mask |= _support_mask(support, points, height)
+                points = points[mask]
+            found.update(map(tuple, points.tolist()))
+    return tuple(sorted(found))
 
 
 def cell_dimensions(complex_: SphericalComplex) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ loops, no library internals) so the tests compare two independent routes.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import os
 import random
@@ -14,8 +15,11 @@ from math import gcd
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 import loglimset
 from loglimset.exactgeom import LinearSystem, cone_dimension
+from loglimset.knots import TorusKnotParams, a_polynomial
 from loglimset.laurent import LaurentPolynomial
 from loglimset.sphdual import pair_cone, reduce_to_maximal
 
@@ -26,6 +30,15 @@ def subprocess_env() -> dict[str, str]:
     src = str(Path(loglimset.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def load_bench_module(name: str):
+    """A module of the benchmark's ``bench/`` directory, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_laurent(
@@ -61,6 +74,22 @@ def support_max_twice(support, xi) -> bool:
         return False
     top = max(values)
     return values.count(top) >= 2
+
+
+LINK_VARIABLES = ("m1", "l1", "m2", "l2")
+
+
+def split_link_generators(*knots: tuple[int, int]) -> list[LaurentPolynomial]:
+    """A_K1(m1, l1) and A_K2(m2, l2) of two torus knots, over (m1, l1, m2, l2)."""
+    gens = []
+    for cusp, (p, q) in enumerate(knots):
+        terms = {}
+        for (m, l), coeff in a_polynomial(TorusKnotParams(p, q)).expand().items():
+            exps = [0] * len(LINK_VARIABLES)
+            exps[2 * cusp], exps[2 * cusp + 1] = m, l
+            terms[tuple(exps)] = coeff
+        gens.append(LaurentPolynomial(LINK_VARIABLES, terms))
+    return gens
 
 
 def primitive_vectors_py(dim: int, height: int) -> list[tuple[int, ...]]:
@@ -214,3 +243,70 @@ def support_cells_all_pairs(support) -> tuple[LinearSystem, ...]:
     pts = sorted(support)
     systems = {pair_cone(pts, a0, a1) for a0, a1 in itertools.combinations(pts, 2)}
     return reduce_to_maximal(s for s in sorted(systems) if cone_dimension(s) > 0)
+
+
+# Reference rational points of a cell complex: every primitive direction of
+# the (2h+1)^m grid, masked cell by cell, as sphdual.rational_points did
+# before it enumerated each cell through its free coordinates.  Tests compare
+# the per-cell walk to it.
+_INT64_SAFE = 2**62
+_GRID_BLOCK_LIMIT = 2_000_000
+
+
+def _primitive_directions_grid(dim: int, height: int) -> np.ndarray:
+    axis = np.arange(-height, height + 1, dtype=np.int64)
+    grid = np.meshgrid(*([axis] * dim), indexing="ij")
+    vectors = np.stack([g.ravel() for g in grid], axis=1)
+    nonzero = vectors[np.any(vectors != 0, axis=1)]
+    g = np.gcd.reduce(np.abs(nonzero), axis=1)
+    return nonzero[g == 1]
+
+
+def _direction_blocks_grid(dim: int, height: int):
+    """Primitive directions in lex order, sliced to bound peak memory."""
+    if dim == 1 or (2 * height + 1) ** dim <= _GRID_BLOCK_LIMIT:
+        block = _primitive_directions_grid(dim, height)
+        if len(block):
+            yield block
+        return
+    axis = np.arange(-height, height + 1, dtype=np.int64)
+    grid = np.meshgrid(*([axis] * (dim - 1)), indexing="ij")
+    tail = np.stack([g.ravel() for g in grid], axis=1)
+    for first in axis:
+        block = np.concatenate(
+            [np.full((len(tail), 1), first, dtype=np.int64), tail], axis=1
+        )
+        nonzero = block[np.any(block != 0, axis=1)]
+        if not len(nonzero):
+            continue
+        g = np.gcd.reduce(np.abs(nonzero), axis=1)
+        primitive = nonzero[g == 1]
+        if len(primitive):
+            yield primitive
+
+
+def _cell_mask_grid(cell: LinearSystem, dirs: np.ndarray, height: int) -> np.ndarray:
+    rows = list(cell.equalities) + list(cell.inequalities)
+    maxabs = max((abs(x) for row in rows for x in row), default=0)
+    dtype = np.int64 if maxabs * height * cell.dim < _INT64_SAFE else object
+    mask = np.ones(len(dirs), dtype=bool)
+    if cell.equalities:
+        eq = np.array(cell.equalities, dtype=dtype)
+        mask &= ((eq @ dirs.T.astype(dtype, copy=False)) == 0).all(axis=0)
+    if cell.inequalities:
+        # the equalities keep few directions: test the inequalities on those only
+        idx = np.nonzero(mask)[0]
+        iq = np.array(cell.inequalities, dtype=dtype)
+        mask[idx] = ((iq @ dirs[idx].T.astype(dtype, copy=False)) >= 0).all(axis=0)
+    return mask
+
+
+def rational_points_grid(complex_, height: int) -> tuple[tuple[int, ...], ...]:
+    """Primitive directions of max-norm <= height in the cells of a complex."""
+    out: list[tuple[int, ...]] = []
+    for dirs in _direction_blocks_grid(complex_.dim, height):
+        mask = np.zeros(len(dirs), dtype=bool)
+        for cell in complex_.cells:
+            mask |= _cell_mask_grid(cell, dirs, height)
+        out.extend(tuple(int(x) for x in row) for row in dirs[mask])
+    return tuple(out)

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import load_bench_module, split_link_generators
 from loglimset.laurent import parse
+from loglimset.loglim import loglim_outer
 from loglimset.slopes import (
     BoundaryCurveCoordinate,
     CuspConvention,
@@ -110,6 +112,20 @@ class TestDetection:
             spherical_dual(f), 8
         ) == detect_boundary_coordinates(spherical_dual(g), 8)
         assert support  # sanity
+
+
+class TestTwoCuspGroundTruth:
+    """Split links of two torus knots: the limit set of (A_K1, A_K2) is the
+    product (C1 u 0) x (C2 u 0) minus 0, whose classes the benchmark's
+    oracle lists in closed form, independently of the library."""
+
+    @pytest.mark.parametrize(
+        "knots",
+        [((2, 3), (2, 3)), ((2, 3), (3, 4)), ((2, 5), (3, 7)), ((3, 5), (2, 7)), ((4, 5), (5, 6)), ((6, 7), (2, 3))],
+    )
+    def test_classes_match_closed_form(self, knots):
+        found = detect_boundary_coordinates(loglim_outer(split_link_generators(*knots)), 12)
+        assert sorted(b.entries for b in found) == load_bench_module("oracles").link_classes(knots, 12)
 
 
 class TestSlopeReading:

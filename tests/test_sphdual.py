@@ -4,9 +4,18 @@ import random
 
 import pytest
 
-from conftest import primitive_vectors_py, random_laurent, support_cells_all_pairs, support_max_twice
+from conftest import (
+    primitive_vectors_py,
+    random_laurent,
+    rational_points_grid,
+    split_link_generators,
+    support_cells_all_pairs,
+    support_max_twice,
+)
+from loglimset import sphdual
 from loglimset.exactgeom import LinearSystem
 from loglimset.laurent import LaurentPolynomial, parse
+from loglimset.loglim import loglim_outer
 from loglimset.sphdual import (
     SphericalComplex,
     cell_dimensions,
@@ -65,6 +74,12 @@ class TestSphericalDual:
         c = spherical_dual(parse("l*m^6+1", ("m", "l")))
         assert c.cells == (LinearSystem.make(2, equalities=[(6, 1)]),)
         assert rational_points(c, 6) == ((-1, 6), (1, -6))
+
+    def test_one_variable_dual_is_empty(self):
+        c = spherical_dual(parse("x+1", ("x",)))
+        assert c.is_empty()
+        assert c == SphericalComplex.empty(1)
+        assert rational_points(c, 3) == ()
 
     def test_monomial_dual_is_empty(self):
         c = spherical_dual(parse("5*x^2*y^-1", ("x", "y")))
@@ -195,6 +210,67 @@ class TestRationalPoints:
     def test_primitive_directions_counts(self):
         assert len(primitive_directions(2, 1)) == 8
         assert len(primitive_directions(2, 2)) == len(primitive_vectors_py(2, 2)) == 16
+
+
+class TestCellEnumeration:
+    """The per-cell walk over free coordinates against the whole-grid mask."""
+
+    def test_matches_grid_reference(self):
+        rng = random.Random(41)
+        variables = ("x", "y", "z", "w")
+        checked = 0
+        for trial in range(200):
+            m = 2 + trial % 3
+            height = 1 + (trial // 3) % 12
+            f = random_laurent(rng, variables[:m], max_terms=6)
+            if trial % 2:
+                g = random_laurent(rng, variables[:m], max_terms=6)
+                c = intersect(spherical_dual(f), spherical_dual(g))
+            else:
+                c = spherical_dual(f).materialized()
+            got = rational_points(c, height)
+            assert got == rational_points_grid(c, height), (trial, m, height)
+            if height <= 3:
+                expected = tuple(
+                    xi for xi in primitive_vectors_py(m, height)
+                    if any(cell.satisfied_by(xi) for cell in c.cells)
+                )
+                assert got == expected, (trial, m, height)
+            checked += bool(got)
+        assert checked >= 100
+
+    @pytest.mark.parametrize("knots", [((2, 3), (3, 4)), ((2, 5), (2, 5)), ((3, 5), (2, 7)), ((4, 5), (5, 6))])
+    def test_split_links_match_grid_reference(self, knots):
+        c = loglim_outer(split_link_generators(*knots))
+        assert c.supports is None
+        got = rational_points(c, 12)
+        assert got and got == rational_points_grid(c, 12)
+
+    def test_blocked_walk_of_a_full_dimensional_cell(self, monkeypatch):
+        monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", 40)
+        half_space = SphericalComplex(3, cells=[LinearSystem.make(3, [], [(1, 0, 0)])])
+        plane = SphericalComplex(4, cells=[LinearSystem.make(4, [(1, 2, 0, -1)], [(0, 1, 1, 0)])])
+        for c in (half_space, plane):
+            got = rational_points(c, 4)
+            assert got == rational_points_grid(c, 4)
+            assert got == tuple(
+                xi for xi in primitive_vectors_py(c.dim, 4) if c.cells[0].satisfied_by(xi)
+            )
+        assert primitive_directions(3, 4).tolist() == [list(v) for v in primitive_vectors_py(3, 4)]
+
+    def test_object_dtype_past_the_int64_guard(self):
+        big = 2**61
+        cells = [
+            LinearSystem.make(3, [(3, big, -big)], [(0, 1, 0)]),
+            LinearSystem.make(3, [(1, 1, -1)], [(big + 1, -big, 0)]),
+        ]
+        c = SphericalComplex(3, cells=cells)
+        got = rational_points(c, 3)
+        assert got == rational_points_grid(c, 3)
+        assert got == tuple(
+            xi for xi in primitive_vectors_py(3, 3) if any(cell.satisfied_by(xi) for cell in cells)
+        )
+        assert (0, 1, 1) in got and (1, 1, 2) in got
 
 
 class TestCellDimensions:
