@@ -10,6 +10,7 @@ object on stderr with a nonzero exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -206,6 +207,7 @@ def _complex_plotdata(complex_) -> str:
 # wiring
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="loglimset",

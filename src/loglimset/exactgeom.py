@@ -166,10 +166,6 @@ class LinearSystem:
             eq_rows = list(canon_eqs) + promoted
             ineq_rows = [r for r in seen if r not in promoted and tuple(-x for x in r) not in promoted]
 
-    def is_trivial(self) -> bool:
-        """True when the system constrains nothing (whole space)."""
-        return not self.equalities and not self.inequalities
-
     def satisfied_by(self, xi: Sequence[int]) -> bool:
         if len(xi) != self.dim:
             raise ValueError(f"point has length {len(xi)}, expected {self.dim}")

@@ -3,13 +3,10 @@
 A complex is a finite set of nonzero polyhedral cones (stored as integer
 inequality systems and read as their intersections with the unit sphere),
 plus a flag for the full sphere, which is the limit set of the zero
-polynomial.  Membership has two routes: the direct support test (the maximum
-of ``xi . alpha`` over the defining support is attained at least twice),
-used whenever a defining support is known, and exact cell membership
-otherwise.  Cells are built lazily from supports because the support test
-alone answers most queries.  The cells of one support are the normal cones of
-its Newton polytope's edges: the dual is the codimension-1 skeleton of the
-polytope's normal fan.
+polynomial.  Every query (membership, union, intersection, rational points)
+is answered from the cells.  The dual of a polynomial is built from its
+support on first use of its cells: they are the normal cones of the Newton
+polytope's edges, the codimension-1 skeleton of the polytope's normal fan.
 """
 
 from __future__ import annotations
@@ -102,13 +99,12 @@ def _support_cells(support: frozenset[ExponentVector]) -> tuple[LinearSystem, ..
 class SphericalComplex:
     """Finite union of nonzero rational cones on the sphere S^(dim-1)."""
 
-    __slots__ = ("dim", "full_sphere", "note", "_cells", "_supports")
+    __slots__ = ("dim", "full_sphere", "note", "_cells", "_support")
 
     def __init__(
         self,
         dim: int,
-        cells: Iterable[LinearSystem] | None = None,
-        supports: Iterable[frozenset[ExponentVector]] | None = None,
+        cells: Iterable[LinearSystem] = (),
         full_sphere: bool = False,
         note: str | None = None,
     ):
@@ -117,21 +113,13 @@ class SphericalComplex:
         self.dim = dim
         self.full_sphere = full_sphere
         self.note = note
-        self._supports = tuple(frozenset(s) for s in supports) if supports is not None else None
-        if full_sphere:
-            self._cells: tuple[LinearSystem, ...] | None = ()
-            self._supports = None
-        elif cells is not None:
-            self._cells = tuple(sorted(set(cells)))
-            for cell in self._cells:
-                if cell.dim != dim:
-                    raise ValueError(f"cell dimension {cell.dim} does not match {dim}")
-                if cone_dimension(cell) == 0:
-                    raise ValueError("the zero cone cannot be a cell")
-        else:
-            if self._supports is None:
-                raise ValueError("need cells, supports or the full-sphere flag")
-            self._cells = None  # built lazily from the supports
+        self._support: frozenset[ExponentVector] | None = None
+        self._cells: tuple[LinearSystem, ...] | None = () if full_sphere else tuple(sorted(set(cells)))
+        for cell in self._cells:
+            if cell.dim != dim:
+                raise ValueError(f"cell dimension {cell.dim} does not match {dim}")
+            if cone_dimension(cell) == 0:
+                raise ValueError("the zero cone cannot be a cell")
 
     # ------------------------------------------------------------------
 
@@ -141,34 +129,23 @@ class SphericalComplex:
 
     @classmethod
     def empty(cls, dim: int) -> "SphericalComplex":
-        return cls(dim, cells=())
+        return cls(dim)
+
+    @classmethod
+    def _of_support(cls, dim: int, support: frozenset[ExponentVector]) -> "SphericalComplex":
+        """The dual of one support, its cells built on first use."""
+        complex_ = cls(dim)
+        complex_._cells, complex_._support = None, support
+        return complex_
 
     @property
     def cells(self) -> tuple[LinearSystem, ...]:
         if self._cells is None:
-            collected: list[LinearSystem] = []
-            for support in self._supports or ():
-                collected.extend(_support_cells(support))
-            self._cells = reduce_to_maximal(collected)
+            self._cells = reduce_to_maximal(_support_cells(self._support))
         return self._cells
 
-    @property
-    def supports(self) -> tuple[frozenset[ExponentVector], ...] | None:
-        return self._supports
-
     def is_empty(self) -> bool:
-        if self.full_sphere:
-            return False
-        if self._supports is not None:
-            # in one variable no direction attains a maximum twice
-            return self.dim == 1 or all(len(s) < 2 for s in self._supports)
-        return not self.cells
-
-    def materialized(self) -> "SphericalComplex":
-        """Copy whose membership test goes through the cells only."""
-        if self.full_sphere:
-            return SphericalComplex.full(self.dim)
-        return SphericalComplex(self.dim, cells=self.cells, note=self.note)
+        return not self.full_sphere and not self.cells
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SphericalComplex):
@@ -182,10 +159,7 @@ class SphericalComplex:
     def __repr__(self) -> str:
         if self.full_sphere:
             return f"SphericalComplex(dim={self.dim}, full sphere)"
-        if self._cells is None:
-            sizes = ",".join(str(len(s)) for s in self._supports or ())
-            return f"SphericalComplex(dim={self.dim}, lazy supports [{sizes}])"
-        return f"SphericalComplex(dim={self.dim}, {len(self._cells)} cells)"
+        return f"SphericalComplex(dim={self.dim}, {len(self.cells)} cells)"
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,28 +179,14 @@ def spherical_dual(f: LaurentPolynomial) -> SphericalComplex:
     dim = len(f.variables)
     if f.is_zero():
         return SphericalComplex.full(dim)
-    return SphericalComplex(dim, supports=[f.support()])
-
-
-def _support_contains(support: frozenset[ExponentVector], xi: Sequence[int]) -> bool:
-    if len(support) < 2:
-        return False
-    best = None
-    count = 0
-    for alpha in support:
-        value = sum(a * x for a, x in zip(alpha, xi))
-        if best is None or value > best:
-            best, count = value, 1
-        elif value == best:
-            count += 1
-    return count >= 2
+    return SphericalComplex._of_support(dim, f.support())
 
 
 def contains(complex_: SphericalComplex, xi: Sequence[int]) -> bool:
     """Is the direction xi (nonzero integer vector) in the complex?
 
-    Uses the direct support test when a defining support is known, otherwise
-    exact row checks against the cells.
+    Exact row checks against the cells; the full sphere contains every
+    direction.
     """
     vec = tuple(int(x) for x in xi)
     if len(vec) != complex_.dim:
@@ -235,8 +195,6 @@ def contains(complex_: SphericalComplex, xi: Sequence[int]) -> bool:
         raise ValueError("the zero vector is not a direction")
     if complex_.full_sphere:
         return True
-    if complex_.supports is not None:
-        return any(_support_contains(s, vec) for s in complex_.supports)
     return any(cell.satisfied_by(vec) for cell in complex_.cells)
 
 
@@ -246,8 +204,6 @@ def union(c1: SphericalComplex, c2: SphericalComplex) -> SphericalComplex:
         raise ValueError("ambient dimensions differ")
     if c1.full_sphere or c2.full_sphere:
         return SphericalComplex.full(c1.dim)
-    if c1.supports is not None and c2.supports is not None:
-        return SphericalComplex(c1.dim, supports=c1.supports + c2.supports)
     return SphericalComplex(c1.dim, cells=reduce_to_maximal(c1.cells + c2.cells))
 
 
@@ -290,17 +246,6 @@ def primitive_directions(dim: int, height: int) -> np.ndarray:
     return np.concatenate(list(_cell_points(LinearSystem.make(dim), height)))
 
 
-def _support_mask(support: frozenset[ExponentVector], dirs: np.ndarray, height: int) -> np.ndarray:
-    pts = sorted(support)
-    if len(pts) < 2:
-        return np.zeros(len(dirs), dtype=bool)
-    maxabs = max(abs(x) for p in pts for x in p)
-    dtype = np.int64 if maxabs * height * len(pts[0]) < _INT64_SAFE else object
-    products = np.array(pts, dtype=dtype) @ dirs.T.astype(dtype, copy=False)
-    top = products.max(axis=0)
-    return (products == top).sum(axis=0) >= 2
-
-
 def _cell_points(cell: LinearSystem, height: int):
     """Blocks of the primitive vectors of max-norm <= height in a cell.
 
@@ -334,21 +279,15 @@ def rational_points(complex_: SphericalComplex, height: int) -> tuple[RationalDi
 
     Each cell is walked through the k coordinates its equalities leave free,
     (2h+1)^k vectors whatever the ambient dimension m (k is the cell's
-    dimension unless an inequality hides an equality).  Supports and the
-    full sphere test the whole space, the cell with no rows: (2h+1)^m.
+    dimension unless an inequality hides an equality).  Only the full sphere
+    walks the whole space, the cell with no rows: (2h+1)^m.
     """
     if height < 1:
         raise ValueError("height must be positive")
-    whole = complex_.full_sphere or complex_.supports is not None
-    cells = (LinearSystem.make(complex_.dim),) if whole else complex_.cells
+    cells = (LinearSystem.make(complex_.dim),) if complex_.full_sphere else complex_.cells
     found: set[RationalDirection] = set()
     for cell in cells:
         for points in _cell_points(cell, height):
-            if complex_.supports is not None:
-                mask = np.zeros(len(points), dtype=bool)
-                for support in complex_.supports:
-                    mask |= _support_mask(support, points, height)
-                points = points[mask]
             found.update(map(tuple, points.tolist()))
     return tuple(sorted(found))
 

@@ -276,6 +276,17 @@ class TestErrorsAndDeterminism:
             assert rc1 == rc2 == 0
             assert out1 == out2
 
+    def test_options_do_not_leak_between_calls(self, capsys, triangle_file):
+        # one parser serves every call: an option given once must not stick
+        plot = ["sphdual", triangle_file, "--vars", "x,y", "--format", "plotdata"]
+        assert run_cli(capsys, plot)[0] == 0
+        rc, out, _ = run_cli(capsys, ["sphdual", triangle_file, "--vars", "x,y"])
+        assert rc == 0 and out == TestSphdual.GOLDEN
+        assert run_cli(capsys, ["torusknot", "2", "3", "--psl2"])[0] == 0
+        rc, out, _ = run_cli(capsys, ["torusknot", "2", "3"])
+        assert rc == 0 and out == TestTorusknot.TEXT_GOLDEN
+        assert cli.build_parser() is cli.build_parser()
+
 
 class TestSubprocessEntry:
     def test_python_dash_m(self, tmp_path):

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from conftest import primitive_vectors_py
+from conftest import load_bench_module, primitive_vectors_py, support_max_twice
 from loglimset.knots import (
     TorusKnotParams,
     a_bar_polynomial,
@@ -13,7 +13,7 @@ from loglimset.knots import (
 )
 from loglimset.laurent import parse
 from loglimset.slopes import detect_boundary_coordinates
-from loglimset.sphdual import contains, spherical_dual, union
+from loglimset.sphdual import contains, rational_points, spherical_dual, union
 
 COPRIME_PAIRS = [(p, q) for p in range(2, 8) for q in range(p + 1, 8) if gcd(p, q) == 1]
 
@@ -102,3 +102,23 @@ class TestDetectedSlopes:
             factor_union = dual if factor_union is None else union(factor_union, dual)
         for xi in primitive_vectors_py(2, 8):
             assert contains(product_dual, xi) == contains(factor_union, xi)
+
+
+class TestBoundaryClassesAgainstSupportOracle:
+    """Each benchmark torus knot at height pq: the directions and boundary classes
+    read off the cells against the direct support test."""
+
+    @pytest.mark.parametrize("build", [a_polynomial, a_bar_polynomial])
+    @pytest.mark.parametrize("p,q", COPRIME_PAIRS)
+    def test_every_knot(self, p, q, build):
+        oracles = load_bench_module("oracles")
+        f = build(TorusKnotParams(p, q)).expand()
+        support = sorted(f.support())
+        directions = tuple(
+            xi for xi in primitive_vectors_py(2, p * q) if support_max_twice(support, xi)
+        )
+        dual = spherical_dual(f)
+        assert rational_points(dual, p * q) == directions
+        expected = {oracles.canonical_class(oracles.quarter_turn(xi)) for xi in directions}
+        found = detect_boundary_coordinates(dual, p * q)
+        assert {c.entries for c in found} == expected

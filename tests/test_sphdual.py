@@ -118,16 +118,15 @@ class TestContains:
         with pytest.raises(ValueError):
             contains(c, (1, 2, 3))
 
-    def test_cell_route_equals_support_route(self):
+    def test_matches_support_oracle(self):
         rng = random.Random(23)
         for _ in range(12):
             m = rng.choice((2, 3))
             f = random_laurent(rng, ("x", "y", "z")[:m], max_terms=5)
-            lazy = spherical_dual(f)
-            materialized = lazy.materialized()
-            assert materialized.supports is None
+            dual = spherical_dual(f)
+            support = sorted(f.support())
             for xi in primitive_vectors_py(m, 4):
-                assert contains(lazy, xi) == contains(materialized, xi)
+                assert contains(dual, xi) == support_max_twice(support, xi)
 
 
 class TestUnionIntersect:
@@ -139,6 +138,18 @@ class TestUnionIntersect:
     def test_union_with_full_absorbs(self):
         c = spherical_dual(parse("x+y+1", ("x", "y")))
         assert union(c, SphericalComplex.full(2)).full_sphere
+
+    def test_union_matches_support_oracle(self):
+        rng = random.Random(73)
+        for _ in range(10):
+            m = rng.choice((2, 3))
+            variables = ("x", "y", "z")[:m]
+            f = random_laurent(rng, variables, max_terms=5)
+            g = random_laurent(rng, variables, max_terms=5)
+            both = union(spherical_dual(f), spherical_dual(g))
+            supports = (sorted(f.support()), sorted(g.support()))
+            for xi in primitive_vectors_py(m, 4):
+                assert contains(both, xi) == any(support_max_twice(s, xi) for s in supports)
 
     def test_intersect_of_coordinate_lines_is_empty(self):
         a = spherical_dual(parse("x-1", ("x", "y")))
@@ -201,11 +212,11 @@ class TestRationalPoints:
         assert set(pts) == {(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)}
 
     def test_matches_pure_python_enumeration(self):
-        c = spherical_dual(parse("x^2*y^-1 + y + 1", ("x", "y")))
+        f = parse("x^2*y^-1 + y + 1", ("x", "y"))
         expected = tuple(
-            xi for xi in primitive_vectors_py(2, 5) if support_max_twice(sorted(c.supports[0]), xi)
+            xi for xi in primitive_vectors_py(2, 5) if support_max_twice(sorted(f.support()), xi)
         )
-        assert rational_points(c, 5) == expected
+        assert rational_points(spherical_dual(f), 5) == expected
 
     def test_primitive_directions_counts(self):
         assert len(primitive_directions(2, 1)) == 8
@@ -227,7 +238,7 @@ class TestCellEnumeration:
                 g = random_laurent(rng, variables[:m], max_terms=6)
                 c = intersect(spherical_dual(f), spherical_dual(g))
             else:
-                c = spherical_dual(f).materialized()
+                c = spherical_dual(f)
             got = rational_points(c, height)
             assert got == rational_points_grid(c, height), (trial, m, height)
             if height <= 3:
@@ -242,7 +253,6 @@ class TestCellEnumeration:
     @pytest.mark.parametrize("knots", [((2, 3), (3, 4)), ((2, 5), (2, 5)), ((3, 5), (2, 7)), ((4, 5), (5, 6))])
     def test_split_links_match_grid_reference(self, knots):
         c = loglim_outer(split_link_generators(*knots))
-        assert c.supports is None
         got = rational_points(c, 12)
         assert got and got == rational_points_grid(c, 12)
 
@@ -387,17 +397,6 @@ class TestConstruction:
         line = LinearSystem.make(3, equalities=[(1, 0, 0)])
         with pytest.raises(ValueError, match="does not match"):
             SphericalComplex(2, cells=[line])
-
-    def test_union_of_lazy_and_materialized(self):
-        f = parse("x+y+1", ("x", "y"))
-        g = parse("x-y", ("x", "y"))
-        lazy = spherical_dual(f)
-        cells_only = spherical_dual(g).materialized()
-        mixed = union(lazy, cells_only)
-        assert mixed.supports is None
-        both = union(spherical_dual(f), spherical_dual(g))
-        for xi in primitive_vectors_py(2, 4):
-            assert contains(mixed, xi) == contains(both, xi)
 
 
 class TestJson:
