@@ -14,17 +14,27 @@ the resulting directions accumulate on the limit set as the radius grows.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, InvalidOperation
 from typing import Iterable, Sequence
 
-from mpmath import mp
+import numpy as np
 
 from .laurent import LaurentPolynomial
 from .sphdual import SphericalComplex, intersect, ray_directions, spherical_dual
 
 DEFAULT_ACCUMULATION_RADIUS = math.exp(10.0)
+
+_LN_CONTEXT = Context(prec=30)  # not the caller's thread-local decimal context
+_CANCELLED = 2.0**-43  # a coefficient this small relative to its terms' moduli is zero
+# Coefficients this many nats below a cluster's largest are dropped.  Dropping
+# moves the cluster's roots by up to e^-W relative; a root up to e^W away that
+# stays in the same companion matrix costs up to 2^-53 * e^W.  At 24 the
+# measured error in log|root| stays below 2e-9; at 40 a cluster can be lost.
+_CLUSTER_WINDOW = 24.0
 
 
 def loglim_principal(f: LaurentPolynomial) -> SphericalComplex:
@@ -64,9 +74,9 @@ def loglim_outer(generators: Sequence[LaurentPolynomial]) -> SphericalComplex:
 class SampleParams:
     """Grid parameters for sampling a plane curve near infinity.
 
-    Magnitudes are log-spaced between ``rho_min`` and ``rho_max`` (strings
-    are accepted so magnitudes far beyond double range, e.g. "1e10000", can
-    be requested).
+    Magnitudes are log-spaced between ``rho_min`` and ``rho_max``, each a
+    finite positive decimal (strings are accepted so magnitudes far beyond
+    double range, e.g. "1e10000", can be requested).
     """
 
     rho_min: str | float = "1e-8"
@@ -80,6 +90,14 @@ class SampleParams:
             raise ValueError("grid must have at least two magnitudes")
         if self.phases < 1:
             raise ValueError("need at least one phase per magnitude")
+        log_lo, log_hi = self.log_bounds
+        if not log_lo < log_hi:
+            raise ValueError("rho_min must be smaller than rho_max")
+
+    @property
+    def log_bounds(self) -> tuple[float, float]:
+        """``(ln rho_min, ln rho_max)`` as doubles."""
+        return _log_magnitude(self.rho_min), _log_magnitude(self.rho_max)
 
 
 @dataclass(frozen=True)
@@ -105,34 +123,17 @@ class SampleResult:
     skipped: list[tuple[int, int, int, str]] = field(default_factory=list)
 
 
-def _quadratic_roots(a, b, c) -> list:
-    # stable complex quadratic: avoid the cancellation in -b +- sqrt(disc)
-    disc = mp.sqrt(b * b - 4 * a * c)
-    if abs(b + disc) >= abs(b - disc):
-        q = -(b + disc) / 2
-    else:
-        q = -(b - disc) / 2
-    if q == 0:
-        return [mp.mpc(0), mp.mpc(0)]
-    return [q / a, c / q]
-
-
-def _binomial_roots(lead, const, n: int) -> list:
-    target = -const / lead
-    radius = abs(target) ** (mp.mpf(1) / n)
-    phase = mp.arg(target) / n
-    return [radius * mp.exp(1j * (phase + 2 * mp.pi * k / n)) for k in range(n)]
-
-
-def _closed_or_polyroots(coeffs: list) -> list:
-    degree = len(coeffs) - 1
-    if degree == 1:
-        return [-coeffs[1] / coeffs[0]]
-    if degree == 2:
-        return _quadratic_roots(*coeffs)
-    if all(c == 0 for c in coeffs[1:-1]):
-        return _binomial_roots(coeffs[0], coeffs[-1], degree)
-    return list(mp.polyroots(coeffs, maxsteps=500, extraprec=400))
+def _log_magnitude(value: str | float) -> float:
+    """Natural log of a finite positive magnitude given as a decimal string
+    or number; strings far beyond double range, such as "1e10000", are exact."""
+    try:
+        magnitude = Decimal(value)
+        valid = magnitude.is_finite() and magnitude > 0
+    except (InvalidOperation, TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError(f"magnitude must be a finite positive number, got {value!r}")
+    return float(magnitude.ln(_LN_CONTEXT))
 
 
 def _upper_hull(points: list[tuple[int, float]]) -> list[tuple[int, float]]:
@@ -148,48 +149,37 @@ def _upper_hull(points: list[tuple[int, float]]) -> list[tuple[int, float]]:
     return hull
 
 
-_CLUSTER_SPREAD = 60.0  # natural-log coefficient range where direct solving is safe
-_CLUSTER_WINDOW = 120.0  # coefficients this far (in nats) below a cluster are dropped
+def _root_log_moduli(coeffs: list[tuple[float, complex] | None]) -> list[float]:
+    """``log|w|`` of the roots of ``sum a_k w^k``, cluster by cluster.
 
-
-def _mp_roots(coeffs: list) -> list:
-    """Roots of a dense polynomial (descending coefficients), deterministic.
-
-    Small degrees use closed forms.  When the coefficient magnitudes span an
-    extreme range (log-coordinates near e^10 put variety points at
-    magnitudes like e^23000, far beyond any iterative solver's basin from
-    unit-circle starting points), the roots split into magnitude clusters
-    read off the upper Newton polygon of (k, log|a_k|); each cluster is
-    rescaled to unit size, solved with the far-away coefficients windowed
-    out, and scaled back.  The windowing perturbs each cluster only by a
-    relative e^-20 or less, far below the sampling tolerances.
+    ``coeffs[k]`` is ``(log|a_k|, a_k / |a_k|)`` in ascending powers, or
+    ``None`` for a zero coefficient; the first and last are nonzero.  Each
+    segment of the upper Newton polygon of ``(k, log|a_k|)`` holds as many
+    roots as it is wide, of modulus about ``e^-slope`` (Ostrowski).  The
+    polynomial is rescaled so that a segment's roots have unit size, the
+    coefficients more than ``_CLUSTER_WINDOW`` nats below the largest are
+    dropped, and the rest is solved in doubles.  So no magnitude ever
+    leaves double range, however far apart the clusters lie.
     """
-    n = len(coeffs) - 1
-    asc = coeffs[::-1]
-    logs = [(k, float(mp.log(abs(a)))) for k, a in enumerate(asc) if a != 0]
-    spread = max(v for _, v in logs) - min(v for _, v in logs)
-    if spread <= _CLUSTER_SPREAD or len(logs) < 2:
-        return _closed_or_polyroots(coeffs)
-    roots: list = []
-    hull = _upper_hull(logs)
+    points = [(k, c[0]) for k, c in enumerate(coeffs) if c is not None]
+    result: list[float] = []
+    hull = _upper_hull(points)
     for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
-        cluster_scale = mp.exp(mp.mpf(v1 - v2) / (k2 - k1))
-        count = k2 - k1
-        scaled = [asc[k] * cluster_scale**k for k in range(n + 1)]
-        top = max(abs(x) for x in scaled)
-        cutoff = top * mp.exp(mp.mpf(-_CLUSTER_WINDOW))
-        scaled = [x / top if abs(x) > cutoff else mp.mpc(0) for x in scaled]
-        lo = 0
-        while scaled[lo] == 0:
-            lo += 1
-        hi = n
-        while scaled[hi] == 0:
-            hi -= 1
-        w_roots = _closed_or_polyroots(scaled[lo : hi + 1][::-1])
-        w_roots = [w for w in w_roots if w != 0]
-        nearest = sorted(w_roots, key=lambda w: abs(mp.log(abs(w))))[:count]
-        roots.extend(cluster_scale * w for w in nearest)
-    return roots
+        log_scale = (v1 - v2) / (k2 - k1)
+        scaled = [(k, v + k * log_scale) for k, v in points]
+        top = max(v for _, v in scaled)
+        kept = [(k, v) for k, v in scaled if v >= top - _CLUSTER_WINDOW]
+        k_lo, k_hi = kept[0][0], kept[-1][0]
+        desc = np.zeros(k_hi - k_lo + 1, dtype=complex)
+        for k, v in kept:
+            desc[k_hi - k] = math.exp(v - top) * coeffs[k][1]
+        roots = [-desc[1] / desc[0]] if len(desc) == 2 else np.roots(desc)
+        # the window keeps the roots of ranks k_lo+1 .. k_hi; this segment's
+        # are ranks k1+1 .. k2, which stays right when clusters nearly touch
+        logs = sorted(math.log(abs(w)) for w in roots if w != 0)
+        chosen = sorted(logs[k1 - k_lo : k2 - k_lo], key=abs)
+        result.extend(u + log_scale for u in chosen)
+    return result
 
 
 def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
@@ -201,6 +191,11 @@ def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
     with the coordinate roles exchanged.  Grid points where the remaining
     polynomial is constant, or where the root solver fails, are skipped and
     recorded.  Output order is fixed by (sweep, grid index, phase, root).
+
+    Everything is computed in log-polar doubles: a term ``c * x^e`` is the
+    log-modulus ``log|c| + e*log(rho)`` with the phase ``arg c + e*theta``,
+    and only ``log|root|`` reaches the output, so magnitudes like e^23000
+    never exist as numbers.
     """
     if len(f.variables) != 2:
         raise ValueError("sampling is implemented for two variables only")
@@ -214,81 +209,69 @@ def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
 
     rng = random.Random(params.seed)
     result = SampleResult()
-    with mp.workdps(40):
-        log_lo = mp.log(mp.mpf(params.rho_min))
-        log_hi = mp.log(mp.mpf(params.rho_max))
-        if not log_lo < log_hi:
-            raise ValueError("rho_min must be smaller than rho_max")
-        step = (log_hi - log_lo) / (params.grid - 1)
-        for sweep in (0, 1):
-            fixed, free = sweep, 1 - sweep
-            # exponent of the free variable -> list of (fixed exponent, coeff)
-            groups: dict[int, list[tuple[int, object]]] = {}
-            for exps, coeff in f.items():
-                groups.setdefault(exps[free], []).append((exps[fixed], coeff))
-            emax, emin = max(groups), min(groups)
-            if emax == emin:
-                # keep the phase stream aligned so the other sweep draws the
-                # same angles whether or not this one was degenerate
-                for gi in range(params.grid):
-                    for pi in range(params.phases):
-                        rng.uniform(0.0, 2.0 * math.pi)
-                        result.skipped.append((sweep, gi, pi, "constant in the free variable"))
-                continue
+    log_lo, log_hi = params.log_bounds
+    step = (log_hi - log_lo) / (params.grid - 1)
+    for sweep in (0, 1):
+        fixed, free = sweep, 1 - sweep
+        # exponent of the free variable -> list of (fixed exponent, log|c|, sign c)
+        groups: dict[int, list[tuple[int, float, int]]] = {}
+        for exps, coeff in f.items():
+            log_abs = math.log(abs(coeff.numerator)) - math.log(coeff.denominator)
+            groups.setdefault(exps[free], []).append((exps[fixed], log_abs, 1 if coeff > 0 else -1))
+        emax, emin = max(groups), min(groups)
+        if emax == emin:
+            # keep the phase stream aligned so the other sweep draws the
+            # same angles whether or not this one was degenerate
             for gi in range(params.grid):
-                t = log_lo + step * gi
-                rho = mp.e**t
                 for pi in range(params.phases):
-                    theta = mp.mpf(rng.uniform(0.0, 2.0 * math.pi))
-                    x = rho * (mp.cos(theta) + 1j * mp.sin(theta))
-                    dense = []
-                    scales = []
-                    for e_free in range(emax, emin - 1, -1):
-                        acc = mp.mpc(0)
-                        scale = mp.mpf(0)
-                        for e_fixed, coeff in groups.get(e_free, ()):
-                            value = mp.mpf(coeff.numerator) / coeff.denominator * x**e_fixed
-                            acc += value
-                            scale += abs(value)
-                        dense.append(acc)
-                        scales.append(scale)
-                    # strip coefficients that vanished by cancellation
-                    zero_like = [
-                        abs(c) <= scale * mp.mpf(2) ** (-mp.prec + 10)
-                        for c, scale in zip(dense, scales)
-                    ]
-                    lo = 0
-                    hi = len(dense)
-                    while lo < hi and zero_like[lo]:
-                        lo += 1
-                    while hi > lo and zero_like[hi - 1]:
-                        hi -= 1
-                    coeffs = dense[lo:hi]
-                    if len(coeffs) <= 1:
-                        result.skipped.append((sweep, gi, pi, "no roots at this grid point"))
+                    rng.uniform(0.0, 2.0 * math.pi)
+                    result.skipped.append((sweep, gi, pi, "constant in the free variable"))
+            continue
+        for gi in range(params.grid):
+            t = log_lo + step * gi
+            for pi in range(params.phases):
+                theta = rng.uniform(0.0, 2.0 * math.pi)
+                # coefficient of each power of the free variable, ascending:
+                # the terms are summed relative to the largest of them
+                coeffs: list[tuple[float, complex] | None] = []
+                for e_free in range(emin, emax + 1):
+                    terms = [(lc + e * t, sign, e) for e, lc, sign in groups.get(e_free, ())]
+                    top = max((v for v, _, _ in terms), default=0.0)
+                    acc = 0j
+                    scale = 0.0
+                    for v, sign, e in terms:
+                        modulus = math.exp(v - top)
+                        acc += sign * modulus * cmath.exp(1j * e * theta)
+                        scale += modulus
+                    # a sum this small has vanished by cancellation
+                    if abs(acc) <= scale * _CANCELLED:
+                        coeffs.append(None)
+                    else:
+                        coeffs.append((top + math.log(abs(acc)), acc / abs(acc)))
+                lo = 0
+                hi = len(coeffs)
+                while lo < hi and coeffs[lo] is None:
+                    lo += 1
+                while hi > lo and coeffs[hi - 1] is None:
+                    hi -= 1
+                if hi - lo <= 1:
+                    result.skipped.append((sweep, gi, pi, "no roots at this grid point"))
+                    continue
+                try:
+                    log_roots = _root_log_moduli(coeffs[lo:hi])
+                except np.linalg.LinAlgError:
+                    result.skipped.append((sweep, gi, pi, "root solver did not converge"))
+                    continue
+                for ri, u in enumerate(log_roots):
+                    logvec = [0.0, 0.0]
+                    logvec[fixed] = t
+                    logvec[free] = u
+                    norm = math.hypot(*logvec)
+                    if norm == 0:
                         continue
-                    top = max(abs(c) for c in coeffs)
-                    coeffs = [c / top for c in coeffs]
-                    try:
-                        roots = _mp_roots(coeffs)
-                    except mp.NoConvergence:
-                        result.skipped.append((sweep, gi, pi, "root solver did not converge"))
-                        continue
-                    for ri, root in enumerate(roots):
-                        if root == 0:
-                            continue
-                        u = mp.log(abs(root))
-                        logvec = [mp.mpf(0), mp.mpf(0)]
-                        logvec[fixed] = t
-                        logvec[free] = u
-                        norm = mp.sqrt(logvec[0] ** 2 + logvec[1] ** 2)
-                        if norm == 0:
-                            continue
-                        radius = float(mp.sqrt(1 + norm**2))
-                        direction = (float(logvec[0] / norm), float(logvec[1] / norm))
-                        result.points.append(
-                            SamplePoint(direction, radius, sweep, gi, pi, ri)
-                        )
+                    radius = math.hypot(1.0, *logvec)
+                    direction = (logvec[0] / norm, logvec[1] / norm)
+                    result.points.append(SamplePoint(direction, radius, sweep, gi, pi, ri))
     return result
 
 

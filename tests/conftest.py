@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -16,11 +17,13 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from mpmath import mp
 
 import loglimset
 from loglimset.exactgeom import LinearSystem, cone_dimension
 from loglimset.knots import TorusKnotParams, a_polynomial
 from loglimset.laurent import LaurentPolynomial
+from loglimset.loglim import SampleParams, SamplePoint, SampleResult
 from loglimset.sphdual import pair_cone, reduce_to_maximal
 
 
@@ -310,3 +313,197 @@ def rational_points_grid(complex_, height: int) -> tuple[tuple[int, ...], ...]:
             mask |= _cell_mask_grid(cell, dirs, height)
         out.extend(tuple(int(x) for x in row) for row in dirs[mask])
     return tuple(out)
+
+
+# ----------------------------------------------------------------------
+# the 40-digit mpmath sampler
+
+
+def _quadratic_roots(a, b, c) -> list:
+    # stable complex quadratic: avoid the cancellation in -b +- sqrt(disc)
+    disc = mp.sqrt(b * b - 4 * a * c)
+    if abs(b + disc) >= abs(b - disc):
+        q = -(b + disc) / 2
+    else:
+        q = -(b - disc) / 2
+    if q == 0:
+        return [mp.mpc(0), mp.mpc(0)]
+    return [q / a, c / q]
+
+
+def _binomial_roots(lead, const, n: int) -> list:
+    target = -const / lead
+    radius = abs(target) ** (mp.mpf(1) / n)
+    phase = mp.arg(target) / n
+    return [radius * mp.exp(1j * (phase + 2 * mp.pi * k / n)) for k in range(n)]
+
+
+def _closed_or_polyroots(coeffs: list) -> list:
+    degree = len(coeffs) - 1
+    if degree == 1:
+        return [-coeffs[1] / coeffs[0]]
+    if degree == 2:
+        return _quadratic_roots(*coeffs)
+    if all(c == 0 for c in coeffs[1:-1]):
+        return _binomial_roots(coeffs[0], coeffs[-1], degree)
+    return list(mp.polyroots(coeffs, maxsteps=500, extraprec=400))
+
+
+def _upper_hull(points: list[tuple[int, float]]) -> list[tuple[int, float]]:
+    hull: list[tuple[int, float]] = []
+    for px, py in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append((px, py))
+    return hull
+
+
+_CLUSTER_SPREAD = 60.0  # natural-log coefficient range where direct solving is safe
+_CLUSTER_WINDOW = 120.0  # coefficients this far (in nats) below a cluster are dropped
+
+
+def _mp_roots(coeffs: list) -> list:
+    """Roots of a dense polynomial (descending coefficients), deterministic.
+
+    Small degrees use closed forms.  When the coefficient magnitudes span an
+    extreme range (log-coordinates near e^10 put variety points at
+    magnitudes like e^23000, far beyond any iterative solver's basin from
+    unit-circle starting points), the roots split into magnitude clusters
+    read off the upper Newton polygon of (k, log|a_k|); each cluster is
+    rescaled to unit size, solved with the far-away coefficients windowed
+    out, and scaled back.  The windowing perturbs each cluster only by a
+    relative e^-20 or less, far below the sampling tolerances.
+    """
+    n = len(coeffs) - 1
+    asc = coeffs[::-1]
+    logs = [(k, float(mp.log(abs(a)))) for k, a in enumerate(asc) if a != 0]
+    spread = max(v for _, v in logs) - min(v for _, v in logs)
+    if spread <= _CLUSTER_SPREAD or len(logs) < 2:
+        return _closed_or_polyroots(coeffs)
+    roots: list = []
+    hull = _upper_hull(logs)
+    for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
+        cluster_scale = mp.exp(mp.mpf(v1 - v2) / (k2 - k1))
+        count = k2 - k1
+        scaled = [asc[k] * cluster_scale**k for k in range(n + 1)]
+        top = max(abs(x) for x in scaled)
+        cutoff = top * mp.exp(mp.mpf(-_CLUSTER_WINDOW))
+        scaled = [x / top if abs(x) > cutoff else mp.mpc(0) for x in scaled]
+        lo = 0
+        while scaled[lo] == 0:
+            lo += 1
+        hi = n
+        while scaled[hi] == 0:
+            hi -= 1
+        w_roots = _closed_or_polyroots(scaled[lo : hi + 1][::-1])
+        w_roots = [w for w in w_roots if w != 0]
+        nearest = sorted(w_roots, key=lambda w: abs(mp.log(abs(w))))[:count]
+        roots.extend(cluster_scale * w for w in nearest)
+    return roots
+
+
+def mp_sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
+    """Sample the plane curve f = 0 and return normalised log-vectors.
+
+    The sampler as it was in 40-digit mpmath, kept as the reference for the
+    log-polar double sampler ``loglim.sample_loglim``.
+
+    For each magnitude rho on the grid and each random phase theta, one
+    coordinate is fixed to ``rho * exp(i theta)`` and the polynomial is
+    solved for the nonzero roots of the other; the sweep is then repeated
+    with the coordinate roles exchanged.  Grid points where the remaining
+    polynomial is constant, or where the root solver fails, are skipped and
+    recorded.  Output order is fixed by (sweep, grid index, phase, root).
+    """
+    if len(f.variables) != 2:
+        raise ValueError("sampling is implemented for two variables only")
+    if f.is_zero():
+        raise ValueError("cannot sample the zero polynomial")
+    degree_spread = [
+        max(e[i] for e in f.support()) - min(e[i] for e in f.support()) for i in (0, 1)
+    ]
+    if degree_spread[0] == 0 and degree_spread[1] == 0:
+        raise ValueError("polynomial is constant in both variables; nothing to sample")
+
+    rng = random.Random(params.seed)
+    result = SampleResult()
+    with mp.workdps(40):
+        log_lo = mp.log(mp.mpf(params.rho_min))
+        log_hi = mp.log(mp.mpf(params.rho_max))
+        if not log_lo < log_hi:
+            raise ValueError("rho_min must be smaller than rho_max")
+        step = (log_hi - log_lo) / (params.grid - 1)
+        for sweep in (0, 1):
+            fixed, free = sweep, 1 - sweep
+            # exponent of the free variable -> list of (fixed exponent, coeff)
+            groups: dict[int, list[tuple[int, object]]] = {}
+            for exps, coeff in f.items():
+                groups.setdefault(exps[free], []).append((exps[fixed], coeff))
+            emax, emin = max(groups), min(groups)
+            if emax == emin:
+                # keep the phase stream aligned so the other sweep draws the
+                # same angles whether or not this one was degenerate
+                for gi in range(params.grid):
+                    for pi in range(params.phases):
+                        rng.uniform(0.0, 2.0 * math.pi)
+                        result.skipped.append((sweep, gi, pi, "constant in the free variable"))
+                continue
+            for gi in range(params.grid):
+                t = log_lo + step * gi
+                rho = mp.e**t
+                for pi in range(params.phases):
+                    theta = mp.mpf(rng.uniform(0.0, 2.0 * math.pi))
+                    x = rho * (mp.cos(theta) + 1j * mp.sin(theta))
+                    dense = []
+                    scales = []
+                    for e_free in range(emax, emin - 1, -1):
+                        acc = mp.mpc(0)
+                        scale = mp.mpf(0)
+                        for e_fixed, coeff in groups.get(e_free, ()):
+                            value = mp.mpf(coeff.numerator) / coeff.denominator * x**e_fixed
+                            acc += value
+                            scale += abs(value)
+                        dense.append(acc)
+                        scales.append(scale)
+                    # strip coefficients that vanished by cancellation
+                    zero_like = [
+                        abs(c) <= scale * mp.mpf(2) ** (-mp.prec + 10)
+                        for c, scale in zip(dense, scales)
+                    ]
+                    lo = 0
+                    hi = len(dense)
+                    while lo < hi and zero_like[lo]:
+                        lo += 1
+                    while hi > lo and zero_like[hi - 1]:
+                        hi -= 1
+                    coeffs = dense[lo:hi]
+                    if len(coeffs) <= 1:
+                        result.skipped.append((sweep, gi, pi, "no roots at this grid point"))
+                        continue
+                    top = max(abs(c) for c in coeffs)
+                    coeffs = [c / top for c in coeffs]
+                    try:
+                        roots = _mp_roots(coeffs)
+                    except mp.NoConvergence:
+                        result.skipped.append((sweep, gi, pi, "root solver did not converge"))
+                        continue
+                    for ri, root in enumerate(roots):
+                        if root == 0:
+                            continue
+                        u = mp.log(abs(root))
+                        logvec = [mp.mpf(0), mp.mpf(0)]
+                        logvec[fixed] = t
+                        logvec[free] = u
+                        norm = mp.sqrt(logvec[0] ** 2 + logvec[1] ** 2)
+                        if norm == 0:
+                            continue
+                        radius = float(mp.sqrt(1 + norm**2))
+                        direction = (float(logvec[0] / norm), float(logvec[1] / norm))
+                        result.points.append(
+                            SamplePoint(direction, radius, sweep, gi, pi, ri)
+                        )
+    return result

@@ -237,6 +237,23 @@ class TestSample:
         assert rc == 2
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--rho-min", "-5"),
+            ("--rho-min", "0"),
+            ("--rho-max", "inf"),
+            ("--rho-min", "abc"),
+            ("--rho-max", "nan"),
+        ],
+    )
+    def test_bad_magnitude_is_a_json_error(self, capsys, triangle_file, option, value):
+        rc, out, err = run_cli(capsys, ["sample", triangle_file, "--vars", "x,y", option, value])
+        assert rc == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert value in payload["message"]
+
 
 class TestErrorsAndDeterminism:
     def test_parse_error_json(self, capsys, tmp_path):
@@ -300,3 +317,19 @@ class TestSubprocessEntry:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["vertices"] == [[0, 0], [0, 1], [1, 0]]
+
+    def test_sampling_does_not_load_mpmath(self, triangle_file):
+        # mpmath is only a test dependency: the CLI must run without it
+        script = (
+            "import sys\n"
+            "from loglimset import cli\n"
+            f"rc = cli.main(['sample', {triangle_file!r}, '--vars', 'x,y', '--grid', '6', "
+            "'--rho-min', '1e-10000', '--rho-max', '1e10000'])\n"
+            "assert rc == 0, rc\n"
+            "print(sorted(m for m in ('mpmath', 'numpy') if m in sys.modules))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "['numpy']"

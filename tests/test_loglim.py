@@ -1,9 +1,12 @@
+import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
-from conftest import primitive_vectors_py, random_laurent
+from conftest import mp_sample_loglim, primitive_vectors_py, random_laurent
+from loglimset import loglim
 from loglimset.exactgeom import LinearSystem
 from loglimset.laurent import LaurentPolynomial, parse
 from loglimset.loglim import (
@@ -123,12 +126,21 @@ class TestSampling:
             assert abs(norm - 1.0) <= 1e-9
 
     def test_deterministic_given_seed(self):
-        f = parse("x+y+1", ("x", "y"))
-        params = SampleParams(grid=10, phases=3, seed=42)
-        a = sample_loglim(f, params)
-        b = sample_loglim(f, params)
-        assert a.points == b.points
-        assert csv_lines(a.points) == csv_lines(b.points)
+        cases = [
+            ("x+y+1", ("x", "y"), SampleParams(grid=10, phases=3, seed=42)),
+            # two root clusters per grid point, up to e^138000 apart
+            (
+                "(l-1)*(l*m^6+1)",
+                ("m", "l"),
+                SampleParams(rho_min="1e-10000", rho_max="1e10000", grid=12, phases=3, seed=42),
+            ),
+        ]
+        for text, variables, params in cases:
+            f = parse(text, variables)
+            a = sample_loglim(f, params)
+            b = sample_loglim(f, params)
+            assert a.points == b.points
+            assert csv_lines(a.points) == csv_lines(b.points)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -141,6 +153,81 @@ class TestSampling:
             SampleParams(grid=1)
         with pytest.raises(ValueError):
             SampleParams(phases=0)
+        for value in ("-5", "0", "inf", "abc", "nan", -1.0):
+            with pytest.raises(ValueError):
+                SampleParams(rho_min=value)
+            with pytest.raises(ValueError):
+                SampleParams(rho_max=value)
+        with pytest.raises(ValueError):
+            SampleParams(rho_min="1e5", rho_max="1e5")
+
+    @pytest.mark.parametrize(
+        "text, variables",
+        [
+            # acceptance criterion 5
+            ("x+y+1", ("x", "y")),
+            ("x*y-1", ("x", "y")),
+            ("x-1", ("x", "y")),
+            ("(l-1)*(l*m^6+1)", ("m", "l")),
+            # the benchmark's sample-curves inputs
+            ("3*x^3-5", ("x", "y")),
+        ],
+    )
+    def test_matches_mpmath_oracle(self, text, variables):
+        f = parse(text, variables)
+        params = SampleParams(rho_min="1e-10000", rho_max="1e10000", grid=40, phases=2, seed=3)
+        ours = sample_loglim(f, params)
+        oracle = mp_sample_loglim(f, params)
+        assert ours.skipped == oracle.skipped
+        assert ours.points
+        by_grid_point = {}
+        for p in oracle.points:
+            by_grid_point.setdefault((p.sweep, p.grid_index, p.phase_index), []).append(p)
+        for p in ours.points:
+            expected = by_grid_point[(p.sweep, p.grid_index, p.phase_index)]
+            match = [
+                q
+                for q in expected
+                if max(abs(a - b) for a, b in zip(p.direction, q.direction)) <= 1e-9
+                and abs(p.radius - q.radius) <= 1e-9 * q.radius
+            ]
+            assert match, (p, expected)
+            expected.remove(match[0])
+        assert not any(by_grid_point.values())
+
+    def test_clusters_that_nearly_touch_keep_every_root(self):
+        # root moduli a few tenths of a nat apart give Newton-polygon segments
+        # whose clusters overlap: every root must come back exactly once
+        rng = random.Random(5)
+        for _ in range(200):
+            logs = sorted(rng.uniform(-2.0, 2.0) for _ in range(rng.randint(2, 7)))
+            roots = [cmath.rect(math.exp(u), rng.uniform(0.0, 2.0 * math.pi)) for u in logs]
+            coeffs = [(math.log(abs(c)), c / abs(c)) for c in np.poly(roots)[::-1]]
+            assert sorted(loglim._root_log_moduli(coeffs)) == pytest.approx(logs, abs=1e-9)
+
+    def test_far_root_does_not_spoil_a_cluster(self):
+        # (w^9 - 1)(w - e^far): nine unit roots beside one root e^far away,
+        # for distances on both sides of the cluster window
+        for far in (10.0, 20.0, 30.0, 39.5, 60.0, 1000.0):
+            coeffs = [None] * 11
+            coeffs[0], coeffs[1] = (far, 1 + 0j), (0.0, -1 + 0j)
+            coeffs[9], coeffs[10] = (far, -1 + 0j), (0.0, 1 + 0j)
+            got = sorted(loglim._root_log_moduli(coeffs))
+            assert got == pytest.approx([0.0] * 9 + [far], abs=1e-8), far
+
+    def test_solver_failure_is_skipped(self, monkeypatch):
+        def no_convergence(coeffs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(loglim.np, "roots", no_convergence)
+        f = parse("y^2+x", ("x", "y"))
+        result = sample_loglim(f, SampleParams(grid=4, phases=2, seed=0))
+        # fixing x leaves a quadratic in y, which needs the solver; fixing y
+        # leaves a linear polynomial in x, which is solved in closed form
+        assert result.skipped == [
+            (0, gi, pi, "root solver did not converge") for gi in range(4) for pi in range(2)
+        ]
+        assert len(result.points) == 4 * 2 and {p.sweep for p in result.points} == {1}
 
     def test_huge_magnitudes_are_accepted_as_strings(self):
         f = parse("x*y-1", ("x", "y"))
