@@ -10,16 +10,9 @@ torus-knot eigenvalue polynomials.
 from .exactgeom import LinearSystem, cone_dimension, interior_point
 from .knots import TorusKnotParams, a_bar_polynomial, a_polynomial, detected_slopes, verify_psl2_relation
 from .laurent import FactorList, LaurentPolynomial, ParseError, parse, unit_normal
-from .loglim import SampleParams, SamplePoint, loglim_outer, loglim_principal, sample_loglim
+from .loglim import SampleParams, SamplePoint, loglim_outer, sample_loglim
 from .polytope import LatticePolytope, minkowski_sum, newton_polytope
-from .slopes import (
-    BoundaryCurveCoordinate,
-    CuspConvention,
-    apply_T,
-    canonicalize,
-    detect_boundary_coordinates,
-    slope_of,
-)
+from .slopes import BoundaryCurveCoordinate, apply_T, canonicalize, detect_boundary_coordinates
 from .sphdual import (
     SphericalComplex,
     contains,
@@ -35,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryCurveCoordinate",
-    "CuspConvention",
     "FactorList",
     "LatticePolytope",
     "LaurentPolynomial",
@@ -56,7 +48,6 @@ __all__ = [
     "interior_point",
     "intersect",
     "loglim_outer",
-    "loglim_principal",
     "max_cell_dimension",
     "minkowski_sum",
     "newton_polytope",
@@ -64,7 +55,6 @@ __all__ = [
     "parse",
     "rational_points",
     "sample_loglim",
-    "slope_of",
     "spherical_dual",
     "union",
     "unit_normal",

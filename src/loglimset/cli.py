@@ -14,19 +14,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .knots import TorusKnotParams, a_bar_polynomial, a_polynomial
 from .laurent import LaurentPolynomial, ParseError
 from .loglim import SampleParams, cluster_directions, csv_lines, loglim_outer, sample_loglim
 from .polytope import newton_polytope
-from .slopes import (
-    detect_boundary_coordinates,
-    format_slope,
-    slope_of,
-    sort_slopes,
-)
+from .slopes import detect_boundary_coordinates, format_slope, sort_slopes
 from .sphdual import ray_directions, spherical_dual
 
 DEFAULT_HEIGHT = 8
@@ -45,46 +39,17 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved options of one CLI invocation."""
-
-    command: str
-    files: tuple[str, ...] = ()
-    variables: tuple[str, ...] = ()
-    height: int = DEFAULT_HEIGHT
-    h: int | None = None
-    fmt: str = "json"
-    p: int = 0
-    q: int = 0
-    psl2: bool = False
-    sample: SampleParams = field(default_factory=SampleParams)
-
-    def __post_init__(self):
-        if self.height < 1:
-            raise CliUsageError("height must be at least 1")
-        if self.command == "slopes":
-            if len(self.variables) % 2:
-                raise CliUsageError("slope detection needs an even number of variables")
-            h = len(self.variables) // 2
-            if self.h is not None and self.h != h:
-                raise CliUsageError(
-                    f"--h {self.h} contradicts the {len(self.variables)} given variables"
-                )
-
-
-def _split_vars(raw: str | None) -> tuple[str, ...]:
-    if raw is None:
-        return ()
+def _split_vars(raw: str) -> tuple[str, ...]:
     names = tuple(v.strip() for v in raw.split(",") if v.strip())
     if not names:
         raise CliUsageError("--vars must list at least one variable name")
     return names
 
 
-def _read_polynomials(files: Sequence[str], variables: Sequence[str]) -> list[LaurentPolynomial]:
+def _read_polynomials(args: argparse.Namespace) -> list[LaurentPolynomial]:
+    variables = _split_vars(args.vars)
     polys: list[LaurentPolynomial] = []
-    for path in files:
+    for path in args.files:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         for line in text.splitlines():
@@ -92,67 +57,77 @@ def _read_polynomials(files: Sequence[str], variables: Sequence[str]) -> list[La
             if body:
                 polys.append(LaurentPolynomial.parse(body, variables))
     if not polys:
-        raise CliUsageError(f"no polynomials found in {', '.join(files)}")
+        raise CliUsageError(f"no polynomials found in {', '.join(args.files)}")
     return polys
+
+
+def _height(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("height must be at least 1")
+    return value
 
 
 # ----------------------------------------------------------------------
 # commands
 
 
-def cmd_newton(cfg: RunConfig) -> str:
+def cmd_newton(args: argparse.Namespace) -> str:
     out = []
-    for poly in _read_polynomials(cfg.files, cfg.variables):
+    for poly in _read_polynomials(args):
         out.append(_json_line(newton_polytope(poly).to_json_dict()))
     return "".join(out)
 
 
-def cmd_sphdual(cfg: RunConfig) -> str:
-    polys = _read_polynomials(cfg.files, cfg.variables)
-    if cfg.fmt == "plotdata":
+def cmd_sphdual(args: argparse.Namespace) -> str:
+    polys = _read_polynomials(args)
+    if args.format == "plotdata":
         return "".join(_complex_plotdata(spherical_dual(p)) for p in polys)
     return "".join(_json_line(spherical_dual(p).to_json_dict()) for p in polys)
 
 
-def cmd_loglim(cfg: RunConfig) -> str:
-    generators = _read_polynomials(cfg.files, cfg.variables)
-    complex_ = loglim_outer(generators)
-    payload = complex_.to_json_dict()
-    payload["outer"] = sum(1 for g in generators if not g.is_zero()) > 1
-    if complex_.note:
-        payload["warning"] = complex_.note
+def cmd_loglim(args: argparse.Namespace) -> str:
+    generators = _read_polynomials(args)
+    payload = loglim_outer(generators).to_json_dict()
+    nonzero = sum(1 for g in generators if not g.is_zero())
+    payload["outer"] = nonzero > 1
+    if not nonzero:
+        payload["warning"] = "all generators zero"
     return _json_line(payload)
 
 
-def cmd_slopes(cfg: RunConfig) -> str:
-    generators = _read_polynomials(cfg.files, cfg.variables)
-    complex_ = loglim_outer(generators)
-    h = len(cfg.variables) // 2
-    coordinates = detect_boundary_coordinates(complex_, cfg.height)
+def cmd_slopes(args: argparse.Namespace) -> str:
+    h, odd = divmod(len(_split_vars(args.vars)), 2)
+    if odd:
+        raise CliUsageError("slope detection needs an even number of variables")
+    coordinates = detect_boundary_coordinates(loglim_outer(_read_polynomials(args)), args.height)
     payload = {
         "h": h,
         "coordinates": sorted(list(c.entries) for c in coordinates),
-        "slopes": [format_slope(s) for s in sort_slopes({slope_of(c) for c in coordinates})]
+        "slopes": [format_slope(s) for s in sort_slopes({c.slope() for c in coordinates})]
         if h == 1
         else [],
     }
     return _json_line(payload)
 
 
-def cmd_torusknot(cfg: RunConfig) -> str:
-    knot = TorusKnotParams(cfg.p, cfg.q)
-    factors = a_bar_polynomial(knot) if cfg.psl2 else a_polynomial(knot)
+def cmd_torusknot(args: argparse.Namespace) -> str:
+    knot = TorusKnotParams(args.p, args.q)
+    factors = a_bar_polynomial(knot) if args.psl2 else a_polynomial(knot)
     expanded = factors.expand()
     variables = expanded.variables
-    height = max(cfg.height, knot.pq)
+    height = max(args.height, knot.pq)
     dual = spherical_dual(expanded)
     coordinates = detect_boundary_coordinates(dual, height)
-    slopes = sort_slopes({slope_of(c) for c in coordinates})
-    if cfg.fmt == "json":
+    slopes = sort_slopes({c.slope() for c in coordinates})
+    if args.format == "json":
         payload = {
             "p": knot.p,
             "q": knot.q,
-            "psl2": cfg.psl2,
+            "psl2": args.psl2,
             "variables": list(variables),
             "factors": [poly.render() for poly, _ in factors],
             "expanded": expanded.render(),
@@ -161,7 +136,7 @@ def cmd_torusknot(cfg: RunConfig) -> str:
             "slopes": [format_slope(s) for s in slopes],
         }
         return _json_line(payload)
-    kind = "squared-eigenvalue generator" if cfg.psl2 else "A-polynomial"
+    kind = "squared-eigenvalue generator" if args.psl2 else "A-polynomial"
     lines = [
         f"# torus knot ({knot.p},{knot.q}) {kind} over ({', '.join(variables)})",
         "# factors: " + " * ".join(f"({poly.render()})" for poly, _ in factors),
@@ -172,14 +147,17 @@ def cmd_torusknot(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sample(cfg: RunConfig) -> str:
-    polys = _read_polynomials(cfg.files, cfg.variables)
+def cmd_sample(args: argparse.Namespace) -> str:
+    params = SampleParams(
+        rho_min=args.rho_min, rho_max=args.rho_max, grid=args.grid, phases=args.phases, seed=args.seed
+    )
+    polys = _read_polynomials(args)
     if len(polys) != 1:
         raise CliUsageError("sample expects exactly one polynomial")
-    result = sample_loglim(polys[0], cfg.sample)
+    result = sample_loglim(polys[0], params)
     clusters = cluster_directions(result.points)
     lines: list[str] = []
-    if cfg.fmt == "plotdata":
+    if args.format == "plotdata":
         lines.extend(
             f"{p.direction[0]!r} {p.direction[1]!r} {p.radius!r}" for p in result.points
         )
@@ -216,31 +194,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, files="+"):
-        p.add_argument("files", nargs=files, help="polynomial files, one generator per line")
+    def add_common(p):
+        p.add_argument("files", nargs="+", help="polynomial files, one generator per line")
         p.add_argument("--vars", required=True, help="comma-separated variable order")
 
     p_newton = sub.add_parser("newton", help="Newton polytope vertices as JSON")
     add_common(p_newton)
+    p_newton.set_defaults(run=cmd_newton)
 
     p_dual = sub.add_parser("sphdual", help="spherical dual of each polynomial")
     add_common(p_dual)
     p_dual.add_argument("--format", choices=("json", "plotdata"), default="json")
+    p_dual.set_defaults(run=cmd_sphdual)
 
     p_log = sub.add_parser("loglim", help="limit set (outer approximation for ideals)")
     add_common(p_log)
+    p_log.set_defaults(run=cmd_loglim)
 
     p_slopes = sub.add_parser("slopes", help="boundary curve coordinates and slopes")
     add_common(p_slopes)
-    p_slopes.add_argument("--h", type=int, default=None, help="number of boundary tori")
-    p_slopes.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
+    p_slopes.add_argument("--height", type=_height, default=DEFAULT_HEIGHT)
+    p_slopes.set_defaults(run=cmd_slopes)
 
     p_knot = sub.add_parser("torusknot", help="torus-knot eigenvalue polynomial and slopes")
     p_knot.add_argument("p", type=int)
     p_knot.add_argument("q", type=int)
     p_knot.add_argument("--psl2", action="store_true", help="emit the squared-eigenvalue form")
-    p_knot.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
+    p_knot.add_argument("--height", type=_height, default=DEFAULT_HEIGHT)
     p_knot.add_argument("--format", choices=("text", "json"), default="text")
+    p_knot.set_defaults(run=cmd_torusknot)
 
     p_sample = sub.add_parser("sample", help="numerically sample a plane curve near infinity")
     add_common(p_sample)
@@ -250,53 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--phases", type=int, default=4)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--format", choices=("csv", "plotdata"), default="csv")
+    p_sample.set_defaults(run=cmd_sample)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if command == "torusknot":
-        return RunConfig(
-            command=command,
-            height=args.height,
-            fmt=args.format,
-            p=args.p,
-            q=args.q,
-            psl2=args.psl2,
-        )
-    variables = _split_vars(args.vars)
-    files = tuple(args.files)
-    if command == "sample":
-        params = SampleParams(
-            rho_min=args.rho_min,
-            rho_max=args.rho_max,
-            grid=args.grid,
-            phases=args.phases,
-            seed=args.seed,
-        )
-        return RunConfig(command=command, files=files, variables=variables, fmt=args.format, sample=params)
-    height = getattr(args, "height", DEFAULT_HEIGHT)
-    fmt = getattr(args, "format", "json")
-    h = getattr(args, "h", None)
-    return RunConfig(command=command, files=files, variables=variables, height=height, fmt=fmt, h=h)
-
-
-_HANDLERS = {
-    "newton": cmd_newton,
-    "sphdual": cmd_sphdual,
-    "loglim": cmd_loglim,
-    "slopes": cmd_slopes,
-    "torusknot": cmd_torusknot,
-    "sample": cmd_sample,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = config_from_args(args)
-        output = _HANDLERS[cfg.command](cfg)
+        args = build_parser().parse_args(argv)
+        output = args.run(args)
     except CliUsageError as exc:
         sys.stderr.write(_json_line({"error": "usage", "message": str(exc)}))
         return 2

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .laurent import FactorList, LaurentPolynomial
-from .slopes import detect_boundary_coordinates, slope_of
+from .slopes import detect_boundary_coordinates
 from .sphdual import spherical_dual
 
 SL2_VARIABLES = ("m", "l")
@@ -104,4 +104,4 @@ def detected_slopes(knot: TorusKnotParams, height: int | None = None) -> set[Fra
     expanded = a_polynomial(knot).expand()
     dual = spherical_dual(expanded)
     coordinates = detect_boundary_coordinates(dual, height)
-    return {slope_of(c) for c in coordinates}
+    return {c.slope() for c in coordinates}

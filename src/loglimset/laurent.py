@@ -95,14 +95,6 @@ class LaurentPolynomial:
         return cls(variables, {(0,) * m: Fraction(value)})
 
     @classmethod
-    def variable(cls, variables: Sequence[str], name: str) -> "LaurentPolynomial":
-        vars_tuple = tuple(variables)
-        if name not in vars_tuple:
-            raise ValueError(f"{name!r} is not among variables {vars_tuple}")
-        exps = tuple(1 if v == name else 0 for v in vars_tuple)
-        return cls(vars_tuple, {exps: Fraction(1)})
-
-    @classmethod
     def parse(cls, text: str, variables: Sequence[str]) -> "LaurentPolynomial":
         return _Parser(text, tuple(variables)).parse()
 
@@ -126,9 +118,6 @@ class LaurentPolynomial:
 
     def support(self) -> frozenset[ExponentVector]:
         return frozenset(self._terms)
-
-    def coefficient(self, exps: ExponentVector) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
 
     def __len__(self) -> int:
         return len(self._terms)

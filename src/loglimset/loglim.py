@@ -37,18 +37,12 @@ _CANCELLED = 2.0**-43  # a coefficient this small relative to its terms' moduli 
 _CLUSTER_WINDOW = 24.0
 
 
-def loglim_principal(f: LaurentPolynomial) -> SphericalComplex:
-    """Exact logarithmic limit set of the hypersurface cut out by f."""
-    return spherical_dual(f)
-
-
 def loglim_outer(generators: Sequence[LaurentPolynomial]) -> SphericalComplex:
     """Intersection of the generators' spherical duals.
 
     This is an outer approximation of the limit set of the generated ideal;
     it is exact for principal ideals.  Zero generators contribute nothing and
-    are dropped; if every generator is zero the result is the full sphere,
-    flagged through ``note``.
+    are dropped; if every generator is zero the result is the full sphere.
     """
     gens = list(generators)
     if not gens:
@@ -59,7 +53,7 @@ def loglim_outer(generators: Sequence[LaurentPolynomial]) -> SphericalComplex:
             raise ValueError("generators must share one variable list")
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
-        return SphericalComplex(len(variables), full_sphere=True, note="all generators zero")
+        return SphericalComplex.full(len(variables))
     result = spherical_dual(nonzero[0])
     for g in nonzero[1:]:
         result = intersect(result, spherical_dual(g))
@@ -266,10 +260,10 @@ def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
                     logvec = [0.0, 0.0]
                     logvec[fixed] = t
                     logvec[free] = u
-                    norm = math.hypot(*logvec)
-                    if norm == 0:
-                        continue
                     radius = math.hypot(1.0, *logvec)
+                    if radius == 1.0:
+                        continue  # a log-vector this short is rounding noise
+                    norm = math.hypot(*logvec)
                     direction = (logvec[0] / norm, logvec[1] / norm)
                     result.points.append(SamplePoint(direction, radius, sweep, gi, pi, ri))
     return result

@@ -127,7 +127,3 @@ def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
         return LatticePolytope.empty(p.dim)
     sums = {tuple(a + b for a, b in zip(u, v)) for u in p.vertices for v in q.vertices}
     return LatticePolytope.from_points(p.dim, sums)
-
-
-def dimension(p: LatticePolytope) -> int | None:
-    return p.dimension()

@@ -19,38 +19,6 @@ from typing import Iterable, Sequence
 from .sphdual import RationalDirection, SphericalComplex, rational_points
 
 
-def default_boundary_variables(h: int) -> tuple[str, ...]:
-    """Canonical eigenvalue variable names: (m, l) or (m1, l1, m2, l2, ...)."""
-    if h < 1:
-        raise ValueError("need at least one boundary torus")
-    if h == 1:
-        return ("m", "l")
-    names: list[str] = []
-    for i in range(1, h + 1):
-        names.extend((f"m{i}", f"l{i}"))
-    return tuple(names)
-
-
-@dataclass(frozen=True)
-class CuspConvention:
-    """Number of boundary tori and the per-torus variable order."""
-
-    h: int
-    variables: tuple[str, ...]
-
-    @classmethod
-    def standard(cls, h: int) -> "CuspConvention":
-        return cls(h, default_boundary_variables(h))
-
-    def __post_init__(self):
-        if self.h < 1:
-            raise ValueError("need at least one boundary torus")
-        if len(self.variables) != 2 * self.h:
-            raise ValueError(
-                f"expected {2 * self.h} variables for h={self.h}, got {len(self.variables)}"
-            )
-
-
 def apply_T(xi: Sequence[int], h: int) -> RationalDirection:
     """Blockwise quarter turn: each pair (a, b) maps to (b, -a)."""
     vec = tuple(int(x) for x in xi)
@@ -133,11 +101,6 @@ def detect_boundary_coordinates(
         raise ValueError("eigenvalue varieties live in an even number of variables")
     h = complex_.dim // 2
     return {canonicalize(apply_T(xi, h)) for xi in rational_points(complex_, height)}
-
-
-def slope_of(coordinate: BoundaryCurveCoordinate) -> Fraction | None:
-    """Slope of a single-torus class; None encodes the infinite (meridian) slope."""
-    return coordinate.slope()
 
 
 def format_slope(slope: Fraction | None) -> str:

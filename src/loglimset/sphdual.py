@@ -99,20 +99,13 @@ def _support_cells(support: frozenset[ExponentVector]) -> tuple[LinearSystem, ..
 class SphericalComplex:
     """Finite union of nonzero rational cones on the sphere S^(dim-1)."""
 
-    __slots__ = ("dim", "full_sphere", "note", "_cells", "_support")
+    __slots__ = ("dim", "full_sphere", "_cells", "_support")
 
-    def __init__(
-        self,
-        dim: int,
-        cells: Iterable[LinearSystem] = (),
-        full_sphere: bool = False,
-        note: str | None = None,
-    ):
+    def __init__(self, dim: int, cells: Iterable[LinearSystem] = (), full_sphere: bool = False):
         if dim < 1:
             raise ValueError("ambient dimension must be positive")
         self.dim = dim
         self.full_sphere = full_sphere
-        self.note = note
         self._support: frozenset[ExponentVector] | None = None
         self._cells: tuple[LinearSystem, ...] | None = () if full_sphere else tuple(sorted(set(cells)))
         for cell in self._cells:
@@ -237,13 +230,6 @@ def _grid_blocks(dim: int, height: int):
     tail = np.indices((side,) * (dim - lead), dtype=np.int64).reshape(dim - lead, -1).T - height
     for head in itertools.product(range(-height, height + 1), repeat=lead):
         yield np.hstack([np.full((len(tail), lead), head, dtype=np.int64), tail])
-
-
-def primitive_directions(dim: int, height: int) -> np.ndarray:
-    """All primitive integer vectors with max-norm <= height, in lex order."""
-    if height < 1:
-        raise ValueError("height must be positive")
-    return np.concatenate(list(_cell_points(LinearSystem.make(dim), height)))
 
 
 def _cell_points(cell: LinearSystem, height: int):

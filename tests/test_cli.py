@@ -126,14 +126,29 @@ class TestSlopes:
         assert json.loads(out)["coordinates"] == sorted(list(c.entries) for c in lib)
 
     def test_odd_variable_count_rejected(self, capsys, trefoil_file):
-        rc, out, err = run_cli(capsys, ["slopes", trefoil_file, "--vars", "m,l,n"])
+        # checked before any file is read
+        for path in (trefoil_file, "/nonexistent/poly.txt"):
+            rc, out, err = run_cli(capsys, ["slopes", path, "--vars", "m,l,n"])
+            assert rc == 2 and out == ""
+            assert json.loads(err)["error"] == "usage"
+
+    def test_h_flag_is_not_an_option(self, capsys, trefoil_file):
+        # h is the number of variable pairs; "--h" is only a prefix of --height and --help
+        rc, out, err = run_cli(capsys, ["slopes", trefoil_file, "--vars", "m,l", "--h", "1"])
         assert rc == 2 and out == ""
         assert json.loads(err)["error"] == "usage"
+        assert "ambiguous option: --h" in json.loads(err)["message"]
 
-    def test_h_flag_must_match(self, capsys, trefoil_file):
-        rc, _, err = run_cli(capsys, ["slopes", trefoil_file, "--vars", "m,l", "--h", "2"])
-        assert rc == 2
-        assert json.loads(err)["error"] == "usage"
+    def test_two_cusp_link_reports_h(self, capsys, tmp_path):
+        path = tmp_path / "link.txt"
+        path.write_text("(l1-1)*(l1*m1^6+1)\n(l2-1)*(l2*m2^15+1)\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["slopes", str(path), "--vars", "m1,l1,m2,l2", "--height", "4"])
+        assert rc == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["h"] == 2 and payload["slopes"] == []
+        gens = [parse(t, ("m1", "l1", "m2", "l2")) for t in path.read_text().split()]
+        lib = detect_boundary_coordinates(loglim_outer(gens), 4)
+        assert payload["coordinates"] == sorted(list(c.entries) for c in lib)
 
 
 class TestTorusknot:
@@ -269,6 +284,15 @@ class TestErrorsAndDeterminism:
         rc, _, err = run_cli(capsys, ["newton", "/nonexistent/poly.txt", "--vars", "x"])
         assert rc == 1
         assert json.loads(err)["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize("command", [["slopes", "FILE", "--vars", "m,l"], ["torusknot", "2", "3"]])
+    def test_height_below_one_is_a_usage_error(self, capsys, trefoil_file, command):
+        args = [trefoil_file if a == "FILE" else a for a in command] + ["--height", "0"]
+        rc, out, err = run_cli(capsys, args)
+        assert rc == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert "height must be at least 1" in payload["message"]
 
     def test_empty_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"

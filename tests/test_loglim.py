@@ -15,33 +15,31 @@ from loglimset.loglim import (
     cluster_directions,
     csv_lines,
     loglim_outer,
-    loglim_principal,
     min_angle_to_complex,
     sample_loglim,
     spherical_distance,
     unit_direction,
 )
-from loglimset.sphdual import contains, rational_points, ray_directions, spherical_dual
+from loglimset.sphdual import SphericalComplex, contains, rational_points, ray_directions, spherical_dual
 
 
 class TestPrincipal:
     def test_equals_spherical_dual(self):
         f = parse("x+y+1", ("x", "y"))
-        assert loglim_principal(f) == spherical_dual(f)
-        assert rational_points(loglim_principal(f), 2) == ((-1, 0), (0, -1), (1, 1))
+        assert rational_points(spherical_dual(f), 2) == ((-1, 0), (0, -1), (1, 1))
 
     def test_zero_gives_full_sphere(self):
-        assert loglim_principal(LaurentPolynomial.zero(("x", "y"))).full_sphere
+        assert spherical_dual(LaurentPolynomial.zero(("x", "y"))).full_sphere
 
     def test_hyperbola(self):
-        c = loglim_principal(parse("x*y-1", ("x", "y")))
+        c = spherical_dual(parse("x*y-1", ("x", "y")))
         assert rational_points(c, 1) == ((-1, 1), (1, -1))
 
 
 class TestOuter:
     def test_single_generator_is_principal(self):
         f = parse("x+y+1", ("x", "y"))
-        assert loglim_outer([f]) == loglim_principal(f)
+        assert loglim_outer([f]) == spherical_dual(f)
 
     def test_point_variety_has_empty_limit_set(self):
         gens = [parse("x-1", ("x", "y")), parse("y-1", ("x", "y"))]
@@ -60,13 +58,12 @@ class TestOuter:
     def test_zero_generators_are_dropped(self):
         f = parse("x+y+1", ("x", "y"))
         zero = LaurentPolynomial.zero(("x", "y"))
-        assert loglim_outer([f, zero]) == loglim_principal(f)
+        assert loglim_outer([f, zero]) == spherical_dual(f)
 
     def test_all_zero_generators_warn(self):
         zero = LaurentPolynomial.zero(("x", "y"))
         c = loglim_outer([zero, zero])
-        assert c.full_sphere
-        assert c.note == "all generators zero"
+        assert c == SphericalComplex.full(2)  # the CLI adds the warning
 
     def test_needs_a_generator_and_common_variables(self):
         with pytest.raises(ValueError):
@@ -93,7 +90,7 @@ class TestSampling:
         f = parse("x+y+1", ("x", "y"))
         result = sample_loglim(f, SampleParams(rho_min=1e-9, rho_max=1e9, grid=40, phases=4, seed=7))
         assert result.points and not result.skipped
-        complex_ = loglim_principal(f)
+        complex_ = spherical_dual(f)
         far = [p for p in result.points if p.radius >= 15.0]
         assert far
         assert max(min_angle_to_complex(p.direction, complex_) for p in far) < 0.01
@@ -124,6 +121,14 @@ class TestSampling:
         for p in result.points:
             norm = math.hypot(*p.direction)
             assert abs(norm - 1.0) <= 1e-9
+
+    def test_points_at_rounding_level_are_dropped(self):
+        # grid 9 with symmetric bounds puts t at about -9e-16 in the middle, where
+        # roots with |w| = 1 would give log-vectors that are only rounding noise
+        f = parse("-x^3*y^-4 - 6*x^-1 - 7*x^-2*y", ("x", "y"))
+        result = sample_loglim(f, SampleParams("1e-300", "1e300", 9, 4, 0))
+        assert all(p.radius > 1.0 for p in result.points)
+        assert any(p.grid_index == 4 for p in result.points)  # the roots off |w| = 1 stay
 
     def test_deterministic_given_seed(self):
         cases = [

@@ -6,7 +6,6 @@ from conftest import random_laurent
 from loglimset.laurent import LaurentPolynomial, parse
 from loglimset.polytope import (
     LatticePolytope,
-    dimension,
     extreme_points,
     minkowski_sum,
     newton_polytope,
@@ -87,7 +86,7 @@ class TestDimension:
 
     def test_empty_dimension_is_none(self):
         assert LatticePolytope.empty(2).dimension() is None
-        assert dimension(LatticePolytope.empty(3)) is None
+        assert LatticePolytope.empty(3).dimension() is None
 
     def test_degenerate_in_space(self):
         p = LatticePolytope.from_points(3, [(0, 0, 0), (1, 1, 0), (2, 2, 0)])

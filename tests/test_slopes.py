@@ -8,13 +8,10 @@ from loglimset.laurent import parse
 from loglimset.loglim import loglim_outer
 from loglimset.slopes import (
     BoundaryCurveCoordinate,
-    CuspConvention,
     apply_T,
     canonicalize,
-    default_boundary_variables,
     detect_boundary_coordinates,
     format_slope,
-    slope_of,
     sort_slopes,
 )
 from loglimset.sphdual import SphericalComplex, spherical_dual
@@ -96,7 +93,7 @@ class TestDetection:
         c = spherical_dual(parse("l-1", ("m", "l")))
         found = detect_boundary_coordinates(c, 8)
         assert {b.entries for b in found} == {(0, 1)}
-        assert {slope_of(b) for b in found} == {Fraction(0)}
+        assert {b.slope() for b in found} == {Fraction(0)}
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -130,13 +127,13 @@ class TestTwoCuspGroundTruth:
 
 class TestSlopeReading:
     def test_examples(self):
-        assert slope_of(BoundaryCurveCoordinate((6, 1))) == Fraction(6)
-        assert slope_of(BoundaryCurveCoordinate((0, 1))) == Fraction(0)
-        assert slope_of(BoundaryCurveCoordinate((1, 0))) is None
+        assert BoundaryCurveCoordinate((6, 1)).slope() == Fraction(6)
+        assert BoundaryCurveCoordinate((0, 1)).slope() == Fraction(0)
+        assert BoundaryCurveCoordinate((1, 0)).slope() is None
 
     def test_only_single_torus(self):
         with pytest.raises(ValueError):
-            slope_of(BoundaryCurveCoordinate((1, 0, 0, 1)))
+            BoundaryCurveCoordinate((1, 0, 0, 1)).slope()
 
     def test_format_and_sort(self):
         slopes = [None, Fraction(6), Fraction(0), Fraction(-1, 2)]
@@ -145,17 +142,6 @@ class TestSlopeReading:
 
 
 class TestConventions:
-    def test_default_variables(self):
-        assert default_boundary_variables(1) == ("m", "l")
-        assert default_boundary_variables(2) == ("m1", "l1", "m2", "l2")
-
-    def test_cusp_convention_validation(self):
-        CuspConvention.standard(2)
-        with pytest.raises(ValueError):
-            CuspConvention(2, ("m", "l"))
-        with pytest.raises(ValueError):
-            CuspConvention(0, ())
-
     def test_coordinate_validation(self):
         with pytest.raises(ValueError):
             BoundaryCurveCoordinate(())

@@ -23,7 +23,6 @@ from loglimset.sphdual import (
     intersect,
     max_cell_dimension,
     pair_cone,
-    primitive_directions,
     rational_points,
     ray_directions,
     reduce_to_maximal,
@@ -219,8 +218,8 @@ class TestRationalPoints:
         assert rational_points(spherical_dual(f), 5) == expected
 
     def test_primitive_directions_counts(self):
-        assert len(primitive_directions(2, 1)) == 8
-        assert len(primitive_directions(2, 2)) == len(primitive_vectors_py(2, 2)) == 16
+        assert len(rational_points(SphericalComplex.full(2), 1)) == 8
+        assert len(rational_points(SphericalComplex.full(2), 2)) == len(primitive_vectors_py(2, 2)) == 16
 
 
 class TestCellEnumeration:
@@ -266,7 +265,7 @@ class TestCellEnumeration:
             assert got == tuple(
                 xi for xi in primitive_vectors_py(c.dim, 4) if c.cells[0].satisfied_by(xi)
             )
-        assert primitive_directions(3, 4).tolist() == [list(v) for v in primitive_vectors_py(3, 4)]
+        assert rational_points(SphericalComplex.full(3), 4) == tuple(primitive_vectors_py(3, 4))
 
     def test_object_dtype_past_the_int64_guard(self):
         big = 2**61
