@@ -129,7 +129,7 @@ def cmd_torusknot(args: argparse.Namespace) -> str:
             "q": knot.q,
             "psl2": args.psl2,
             "variables": list(variables),
-            "factors": [poly.render() for poly, _ in factors],
+            "factors": [poly.render() for poly in factors],
             "expanded": expanded.render(),
             "height": height,
             "coordinates": sorted(list(c.entries) for c in coordinates),
@@ -139,7 +139,7 @@ def cmd_torusknot(args: argparse.Namespace) -> str:
     kind = "squared-eigenvalue generator" if args.psl2 else "A-polynomial"
     lines = [
         f"# torus knot ({knot.p},{knot.q}) {kind} over ({', '.join(variables)})",
-        "# factors: " + " * ".join(f"({poly.render()})" for poly, _ in factors),
+        "# factors: " + " * ".join(f"({poly.render()})" for poly in factors),
         expanded.render(),
         f"# boundary slopes (height {height}): "
         + ", ".join(format_slope(s) for s in slopes),

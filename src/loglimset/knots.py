@@ -81,12 +81,12 @@ def verify_psl2_relation(knot: TorusKnotParams) -> bool:
 
     Each factor is paired with its l-negated partner, the pair product (even
     in both variables) has its squares substituted, and the resulting factor
-    list deduplicated to multiplicity one under unit-normal form is compared
-    with ``a_bar_polynomial``.
+    list deduplicated under unit-normal form is compared with
+    ``a_bar_polynomial``.
     """
     paired = [
         (poly * poly.negate_variable("l")).substitute_square(PSL2_VARIABLES)
-        for poly, _ in a_polynomial(knot)
+        for poly in a_polynomial(knot)
     ]
     left = FactorList(paired).deduplicated()
     right = a_bar_polynomial(knot).deduplicated()

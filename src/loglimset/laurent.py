@@ -12,13 +12,15 @@ The concrete text grammar accepted by :func:`parse` is
     factor := NUMBER | VAR ('^' SINT)? | '(' expr ')'
     NUMBER := INT ('/' INT)?          SINT := '-'? INT
 
-with whitespace ignored.  ``render`` emits terms in graded-lexicographic
-exponent order (highest first) with explicit '*' and '^', and its output
-always reparses to the same polynomial.
+with whitespace ignored and parentheses nested at most ``MAX_NESTING``
+levels deep.  ``render`` emits terms in graded-lexicographic exponent order
+(highest first) with explicit '*' and '^', and its output always reparses
+to the same polynomial.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -28,6 +30,10 @@ ExponentVector = tuple[int, ...]
 # Exponents are kept well inside machine-word range; coefficients are
 # arbitrary-precision rationals.
 MAX_EXPONENT = 2**62
+
+# Parentheses may nest this deep; each level costs the recursive-descent
+# parser three stack frames, so far deeper input would exhaust the stack.
+MAX_NESTING = 200
 
 
 class ParseError(ValueError):
@@ -98,6 +104,14 @@ class LaurentPolynomial:
     def parse(cls, text: str, variables: Sequence[str]) -> "LaurentPolynomial":
         return _Parser(text, tuple(variables)).parse()
 
+    @classmethod
+    def _of(cls, variables: tuple[str, ...], terms: dict[ExponentVector, Fraction]) -> "LaurentPolynomial":
+        """Wrap parts that are already clean (nonzero Fractions); no validation."""
+        result = cls.__new__(cls)
+        result._variables = variables
+        result._terms = terms
+        return result
+
     # ------------------------------------------------------------------
     # inspection
 
@@ -145,19 +159,13 @@ class LaurentPolynomial:
                 out[exps] = c
             elif exps in out:
                 del out[exps]
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._variables = self._variables
-        result._terms = out
-        return result
+        return LaurentPolynomial._of(self._variables, out)
 
     def __radd__(self, other: int | Fraction) -> "LaurentPolynomial":
         return self.__add__(other)
 
     def __neg__(self) -> "LaurentPolynomial":
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._variables = self._variables
-        result._terms = {e: -c for e, c in self._terms.items()}
-        return result
+        return LaurentPolynomial._of(self._variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPolynomial | int | Fraction") -> "LaurentPolynomial":
         if not isinstance(other, LaurentPolynomial):
@@ -170,10 +178,8 @@ class LaurentPolynomial:
     def __mul__(self, other: "LaurentPolynomial | int | Fraction") -> "LaurentPolynomial":
         if not isinstance(other, LaurentPolynomial):
             scalar = Fraction(other)
-            result = LaurentPolynomial.__new__(LaurentPolynomial)
-            result._variables = self._variables
-            result._terms = {} if scalar == 0 else {e: c * scalar for e, c in self._terms.items()}
-            return result
+            terms = {e: c * scalar for e, c in self._terms.items()} if scalar else {}
+            return LaurentPolynomial._of(self._variables, terms)
         self._require_same_variables(other)
         out: dict[ExponentVector, Fraction] = {}
         for ea, ca in self._terms.items():
@@ -184,25 +190,10 @@ class LaurentPolynomial:
                     out[key] = c
                 elif key in out:
                     del out[key]
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._variables = self._variables
-        result._terms = out
-        return result
+        return LaurentPolynomial._of(self._variables, out)
 
     def __rmul__(self, other: int | Fraction) -> "LaurentPolynomial":
         return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            raise ValueError("negative powers of polynomials are not defined here")
-        result = LaurentPolynomial.constant(self._variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPolynomial):
@@ -220,11 +211,9 @@ class LaurentPolynomial:
         if name not in self._variables:
             raise ValueError(f"{name!r} is not among variables {self._variables}")
         i = self._variables.index(name)
-        out = {e: (-c if e[i] % 2 else c) for e, c in self._terms.items()}
-        result = LaurentPolynomial.__new__(LaurentPolynomial)
-        result._variables = self._variables
-        result._terms = out
-        return result
+        return LaurentPolynomial._of(
+            self._variables, {e: (-c if e[i] % 2 else c) for e, c in self._terms.items()}
+        )
 
     def substitute_square(self, new_variables: Sequence[str] | None = None) -> "LaurentPolynomial":
         """Replace each variable square by a fresh variable (x_i^2 -> X_i).
@@ -304,6 +293,7 @@ class _Parser:
                 raise ParseError(f"unexpected character {match.group()!r}", match.start())
             self.tokens.append((kind, match.group(), match.start()))
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         if self.pos < len(self.tokens):
@@ -381,8 +371,12 @@ class _Parser:
             exps = tuple(exponent if v == value else 0 for v in self.variables)
             return LaurentPolynomial(self.variables, {exps: Fraction(1)})
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", at)
+            self.depth += 1
             poly = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return poly
         raise ParseError(f"expected a number, variable or '(', found {value or 'end of input'!r}", at)
 
@@ -414,62 +408,44 @@ def unit_normal(f: LaurentPolynomial) -> LaurentPolynomial:
 
 
 class FactorList:
-    """Ordered list of nonzero factors, each with a positive multiplicity."""
+    """Ordered list of nonzero factors over one variable list."""
 
     __slots__ = ("_factors",)
 
-    def __init__(self, factors: Iterable[LaurentPolynomial | tuple[LaurentPolynomial, int]]):
-        items: list[tuple[LaurentPolynomial, int]] = []
-        variables: tuple[str, ...] | None = None
-        for entry in factors:
-            if isinstance(entry, LaurentPolynomial):
-                poly, mult = entry, 1
-            else:
-                poly, mult = entry
+    def __init__(self, factors: Iterable[LaurentPolynomial]):
+        items = tuple(factors)
+        if not items:
+            raise ValueError("a factor list needs at least one factor")
+        for poly in items:
             if poly.is_zero():
                 raise ValueError("zero polynomial cannot be a factor")
-            if mult < 1:
-                raise ValueError(f"multiplicity must be positive, got {mult}")
-            if variables is None:
-                variables = poly.variables
-            elif poly.variables != variables:
+            if poly.variables != items[0].variables:
                 raise ValueError("all factors must share one variable list")
-            items.append((poly, int(mult)))
-        if variables is None:
-            raise ValueError("a factor list needs at least one factor")
-        self._factors = tuple(items)
-
-    @property
-    def factors(self) -> tuple[tuple[LaurentPolynomial, int], ...]:
-        return self._factors
+        self._factors = items
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return self._factors[0][0].variables
+        return self._factors[0].variables
 
-    def __iter__(self) -> Iterator[tuple[LaurentPolynomial, int]]:
+    def __iter__(self) -> Iterator[LaurentPolynomial]:
         return iter(self._factors)
 
     def __len__(self) -> int:
         return len(self._factors)
 
     def expand(self) -> LaurentPolynomial:
-        """The product of all factors with multiplicities."""
-        out = LaurentPolynomial.constant(self.variables, 1)
-        for poly, mult in self._factors:
-            out = out * poly**mult
-        return out
+        """The product of all factors."""
+        return math.prod(self._factors, start=LaurentPolynomial.constant(self.variables, 1))
 
     def deduplicated(self) -> "FactorList":
-        """Distinct factors up to units, each with multiplicity one.
+        """Distinct factors up to units.
 
         Factors are unit-normalised, duplicates merged, and the result sorted
         canonically, so two lists describing the same squarefree locus compare
         equal.
         """
-        normals = {unit_normal(poly) for poly, _ in self._factors}
-        ordered = sorted(normals, key=lambda p: (p.variables, sorted(p.terms.items())))
-        return FactorList([(p, 1) for p in ordered])
+        normals = {unit_normal(poly) for poly in self._factors}
+        return FactorList(sorted(normals, key=lambda p: (p.variables, sorted(p.terms.items()))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FactorList):
@@ -480,8 +456,4 @@ class FactorList:
         return hash(self._factors)
 
     def __repr__(self) -> str:
-        inner = " * ".join(
-            f"({poly.render()})" + (f"^{mult}" if mult != 1 else "")
-            for poly, mult in self._factors
-        )
-        return f"FactorList[{inner}]"
+        return "FactorList[" + " * ".join(f"({poly.render()})" for poly in self._factors) + "]"

@@ -74,25 +74,24 @@ def extreme_points(points: Iterable[ExponentVector], dim: int) -> frozenset[Expo
 class LatticePolytope:
     """Convex hull of lattice points, stored as its vertex set.
 
-    The empty polytope is a distinct tagged value (no vertices), not a
-    degenerate point: downstream the dual of the zero polynomial must stay
-    distinguishable from the dual of a monomial.
+    The empty polytope, the Newton polytope of the zero polynomial, is the
+    one with no vertices; a monomial's is a single vertex.
     """
 
     dim: int
     vertices: frozenset[ExponentVector]
-    is_empty: bool
 
     @classmethod
     def empty(cls, dim: int) -> "LatticePolytope":
-        return cls(dim, frozenset(), True)
+        return cls(dim, frozenset())
 
     @classmethod
     def from_points(cls, dim: int, points: Iterable[ExponentVector]) -> "LatticePolytope":
-        pts = list(points)
-        if not pts:
-            return cls.empty(dim)
-        return cls(dim, extreme_points(pts, dim), False)
+        return cls(dim, extreme_points(points, dim))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.vertices
 
     def dimension(self) -> int | None:
         """Affine dimension; None for the empty polytope."""
@@ -113,17 +112,12 @@ class LatticePolytope:
 
 def newton_polytope(f: LaurentPolynomial) -> LatticePolytope:
     """Convex hull of the exponent vectors of f; empty exactly for f = 0."""
-    dim = len(f.variables)
-    if f.is_zero():
-        return LatticePolytope.empty(dim)
-    return LatticePolytope.from_points(dim, f.support())
+    return LatticePolytope.from_points(len(f.variables), f.support())
 
 
 def minkowski_sum(p: LatticePolytope, q: LatticePolytope) -> LatticePolytope:
     """Vertices of {a + b : a in P, b in Q}; empty if either factor is."""
     if p.dim != q.dim:
         raise ValueError(f"ambient dimensions differ: {p.dim} vs {q.dim}")
-    if p.is_empty or q.is_empty:
-        return LatticePolytope.empty(p.dim)
     sums = {tuple(a + b for a, b in zip(u, v)) for u in p.vertices for v in q.vertices}
     return LatticePolytope.from_points(p.dim, sums)

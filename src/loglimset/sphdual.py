@@ -1,12 +1,13 @@
 """Spherical duals of Newton polytopes as complexes of rational cones.
 
 A complex is a finite set of nonzero polyhedral cones (stored as integer
-inequality systems and read as their intersections with the unit sphere),
-plus a flag for the full sphere, which is the limit set of the zero
-polynomial.  Every query (membership, union, intersection, rational points)
-is answered from the cells.  The dual of a polynomial is built from its
-support on first use of its cells: they are the normal cones of the Newton
-polytope's edges, the codimension-1 skeleton of the polytope's normal fan.
+inequality systems and read as their intersections with the unit sphere).
+The full sphere, the limit set of the zero polynomial, is the complex whose
+one cell has no rows; a complex holding that cell holds nothing else.
+Every query (membership, union, intersection, rational points) is answered
+from the cells.  The dual of a polynomial is built from its support on
+first use of its cells: they are the normal cones of the Newton polytope's
+edges, the codimension-1 skeleton of the polytope's normal fan.
 """
 
 from __future__ import annotations
@@ -99,26 +100,27 @@ def _support_cells(support: frozenset[ExponentVector]) -> tuple[LinearSystem, ..
 class SphericalComplex:
     """Finite union of nonzero rational cones on the sphere S^(dim-1)."""
 
-    __slots__ = ("dim", "full_sphere", "_cells", "_support")
+    __slots__ = ("dim", "_cells", "_support")
 
-    def __init__(self, dim: int, cells: Iterable[LinearSystem] = (), full_sphere: bool = False):
+    def __init__(self, dim: int, cells: Iterable[LinearSystem] = ()):
         if dim < 1:
             raise ValueError("ambient dimension must be positive")
         self.dim = dim
-        self.full_sphere = full_sphere
         self._support: frozenset[ExponentVector] | None = None
-        self._cells: tuple[LinearSystem, ...] | None = () if full_sphere else tuple(sorted(set(cells)))
-        for cell in self._cells:
+        kept = tuple(sorted(set(cells)))
+        for cell in kept:
             if cell.dim != dim:
                 raise ValueError(f"cell dimension {cell.dim} does not match {dim}")
             if cone_dimension(cell) == 0:
                 raise ValueError("the zero cone cannot be a cell")
+        whole = LinearSystem.make(dim)  # the cell with no rows covers every other
+        self._cells: tuple[LinearSystem, ...] | None = (whole,) if whole in kept else kept
 
     # ------------------------------------------------------------------
 
     @classmethod
     def full(cls, dim: int) -> "SphericalComplex":
-        return cls(dim, full_sphere=True)
+        return cls(dim, [LinearSystem.make(dim)])
 
     @classmethod
     def empty(cls, dim: int) -> "SphericalComplex":
@@ -137,28 +139,29 @@ class SphericalComplex:
             self._cells = reduce_to_maximal(_support_cells(self._support))
         return self._cells
 
+    @property
+    def full_sphere(self) -> bool:
+        """Is this the whole sphere?  A support's dual never is, so this does
+        not build its cells."""
+        return self._cells == (LinearSystem.make(self.dim),)
+
     def is_empty(self) -> bool:
-        return not self.full_sphere and not self.cells
+        return not self.cells
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SphericalComplex):
             return NotImplemented
-        if self.dim != other.dim or self.full_sphere != other.full_sphere:
-            return False
-        if self.full_sphere:
-            return True
-        return self.cells == other.cells
+        return self.dim == other.dim and self.cells == other.cells
 
     def __repr__(self) -> str:
-        if self.full_sphere:
-            return f"SphericalComplex(dim={self.dim}, full sphere)"
         return f"SphericalComplex(dim={self.dim}, {len(self.cells)} cells)"
 
     def to_json_dict(self) -> dict:
+        full_sphere = self.full_sphere
         return {
             "dim": self.dim,
-            "full_sphere": self.full_sphere,
-            "cells": [c.to_json_dict() for c in self.cells],
+            "full_sphere": full_sphere,
+            "cells": [] if full_sphere else [c.to_json_dict() for c in self.cells],
         }
 
 
@@ -178,16 +181,14 @@ def spherical_dual(f: LaurentPolynomial) -> SphericalComplex:
 def contains(complex_: SphericalComplex, xi: Sequence[int]) -> bool:
     """Is the direction xi (nonzero integer vector) in the complex?
 
-    Exact row checks against the cells; the full sphere contains every
-    direction.
+    Exact row checks against the cells; the full sphere's one cell has no
+    rows, so it contains every direction.
     """
     vec = tuple(int(x) for x in xi)
     if len(vec) != complex_.dim:
         raise ValueError(f"direction has length {len(vec)}, expected {complex_.dim}")
     if not any(vec):
         raise ValueError("the zero vector is not a direction")
-    if complex_.full_sphere:
-        return True
     return any(cell.satisfied_by(vec) for cell in complex_.cells)
 
 
@@ -195,8 +196,6 @@ def union(c1: SphericalComplex, c2: SphericalComplex) -> SphericalComplex:
     """Set union of two complexes over the same sphere."""
     if c1.dim != c2.dim:
         raise ValueError("ambient dimensions differ")
-    if c1.full_sphere or c2.full_sphere:
-        return SphericalComplex.full(c1.dim)
     return SphericalComplex(c1.dim, cells=reduce_to_maximal(c1.cells + c2.cells))
 
 
@@ -204,10 +203,6 @@ def intersect(c1: SphericalComplex, c2: SphericalComplex) -> SphericalComplex:
     """Set intersection, formed cell by cell with zero cones pruned."""
     if c1.dim != c2.dim:
         raise ValueError("ambient dimensions differ")
-    if c1.full_sphere:
-        return c2
-    if c2.full_sphere:
-        return c1
     pieces = {intersect_systems(a, b) for a in c1.cells for b in c2.cells}
     cells = reduce_to_maximal(s for s in sorted(pieces) if cone_dimension(s) > 0)
     return SphericalComplex(c1.dim, cells=cells)
@@ -270,9 +265,8 @@ def rational_points(complex_: SphericalComplex, height: int) -> tuple[RationalDi
     """
     if height < 1:
         raise ValueError("height must be positive")
-    cells = (LinearSystem.make(complex_.dim),) if complex_.full_sphere else complex_.cells
     found: set[RationalDirection] = set()
-    for cell in cells:
+    for cell in complex_.cells:
         for points in _cell_points(cell, height):
             found.update(map(tuple, points.tolist()))
     return tuple(sorted(found))
@@ -285,8 +279,6 @@ def cell_dimensions(complex_: SphericalComplex) -> tuple[int, ...]:
 
 def max_cell_dimension(complex_: SphericalComplex) -> int | None:
     """Largest spherical cell dimension; None for the empty complex."""
-    if complex_.full_sphere:
-        return complex_.dim - 1
     dims = cell_dimensions(complex_)
     return max(dims) if dims else None
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import subprocess_env
 from loglimset import cli
 from loglimset.knots import TorusKnotParams, a_polynomial
-from loglimset.laurent import parse
+from loglimset.laurent import MAX_NESTING, parse
 from loglimset.loglim import loglim_outer
 from loglimset.polytope import newton_polytope
 from loglimset.slopes import detect_boundary_coordinates
@@ -178,7 +178,7 @@ class TestTorusknot:
         assert payload["slopes"] == ["0", "12"]
         assert payload["height"] == 12  # raised to pq automatically
         assert payload["factors"] == [
-            p.render() for p, _ in a_polynomial(TorusKnotParams(3, 4))
+            p.render() for p in a_polynomial(TorusKnotParams(3, 4))
         ]
 
     def test_psl2_variant(self, capsys):
@@ -279,6 +279,15 @@ class TestErrorsAndDeterminism:
         payload = json.loads(err)
         assert payload["error"] == "parse"
         assert payload["position"] == 4
+
+    def test_deep_nesting_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text("(" * 2000 + "x" + ")" * 2000 + "\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["newton", str(path), "--vars", "x"])
+        assert rc == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "parse"
+        assert payload["position"] == MAX_NESTING
 
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, ["newton", "/nonexistent/poly.txt", "--vars", "x"])

@@ -97,7 +97,7 @@ class TestDetectedSlopes:
         knot = TorusKnotParams(3, 4)
         product_dual = spherical_dual(a_polynomial(knot).expand())
         factor_union = None
-        for poly, _ in a_polynomial(knot):
+        for poly in a_polynomial(knot):
             dual = spherical_dual(poly)
             factor_union = dual if factor_union is None else union(factor_union, dual)
         for xi in primitive_vectors_py(2, 8):

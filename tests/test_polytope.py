@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -28,6 +29,15 @@ class TestNewtonPolytope:
         assert p.vertices == frozenset()
         # the empty polytope is not the single origin point
         assert p != newton_polytope(parse("1", ("x", "y")))
+
+    def test_empty_is_the_polytope_with_no_vertices(self):
+        for m in (1, 2, 3):
+            empty = LatticePolytope.empty(m)
+            assert LatticePolytope.from_points(m, []) == empty
+            assert newton_polytope(LaurentPolynomial.zero(("x", "y", "z")[:m])) == empty
+            assert empty.to_json_dict() == {"dim": m, "empty": True, "vertices": []}
+            assert empty.dimension() is None
+        assert [f.name for f in dataclasses.fields(LatticePolytope)] == ["dim", "vertices"]
 
     def test_interior_points_are_dropped(self):
         p = newton_polytope(parse("x^2 + x + 1", ("x", "y")))

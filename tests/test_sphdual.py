@@ -386,6 +386,57 @@ class TestMaximalReduction:
                         assert not cone_contains(a, b)
 
 
+class TestFullSphere:
+    """The whole sphere is the complex whose one cell has no rows."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_row_free_cell_is_the_full_sphere(self, m):
+        row_free = SphericalComplex(m, [LinearSystem.make(m)])
+        full = SphericalComplex.full(m)
+        assert row_free == full and row_free.full_sphere
+        assert row_free.to_json_dict() == full.to_json_dict() == {"dim": m, "full_sphere": True, "cells": []}
+
+    def test_row_free_cell_absorbs_every_other_cell(self):
+        half_plane = LinearSystem.make(2, [], [(1, 0)])
+        c = SphericalComplex(2, [half_plane, LinearSystem.make(2)])
+        assert c.cells == (LinearSystem.make(2),)
+        assert c == SphericalComplex.full(2)
+        assert not SphericalComplex(2, [half_plane]).full_sphere
+
+    def test_union_and_intersect_with_the_full_sphere(self):
+        rng = random.Random(91)
+        for trial in range(8):
+            m = 2 + trial % 3
+            dual = spherical_dual(random_laurent(rng, ("x", "y", "z", "w")[:m], max_terms=5))
+            full = SphericalComplex.full(m)
+            row_free = SphericalComplex(m, [LinearSystem.make(m)])
+            assert union(dual, row_free) == full and union(row_free, dual) == full
+            assert intersect(full, dual) == dual and intersect(dual, full) == dual
+
+    @pytest.mark.parametrize("m, height", [(1, 3), (2, 3), (3, 2), (4, 1)])
+    def test_every_direction_belongs(self, m, height):
+        full = SphericalComplex.full(m)
+        expected = tuple(primitive_vectors_py(m, height))
+        assert rational_points(full, height) == expected
+        assert all(contains(full, xi) for xi in expected)
+
+    def test_cell_dimensions_and_rays(self):
+        for m in (1, 2, 3, 4):
+            assert cell_dimensions(SphericalComplex.full(m)) == (m - 1,)
+            assert max_cell_dimension(SphericalComplex.full(m)) == m - 1
+        assert ray_directions(SphericalComplex.full(1)) == ((-1,), (1,))
+        assert ray_directions(SphericalComplex.full(2)) == ()
+
+    def test_support_cells_are_not_built_to_answer(self, monkeypatch):
+        c = spherical_dual(parse("x+y+1", ("x", "y")))
+
+        def refuse(support):
+            raise AssertionError("the support's cells were built")
+
+        monkeypatch.setattr(sphdual, "_support_cells", refuse)
+        assert not c.full_sphere
+
+
 class TestConstruction:
     def test_zero_cone_rejected_as_cell(self):
         zero = LinearSystem.make(2, equalities=[(1, 0), (0, 1)])
