@@ -5,8 +5,11 @@ Cones are described by homogeneous integer linear systems (rows meaning
 the integers: elimination is fraction-free (a row is reduced against a pivot
 row with ``p*row - f*prow``, p > 0, and kept primitive), and feasibility
 uses a phase-1 simplex with fraction-free integer pivoting (Bareiss) and
-Bland's anti-cycling rule.  Cone dimension is obtained by testing which
-inequalities admit a strictly positive value over the cone.
+Bland's anti-cycling rule.  Cone dimension comes from the implicit
+equalities, the inequalities that vanish on the whole cone: one LP asks for
+a point strictly positive on every inequality not yet known to be implicit,
+and when it is infeasible its phase-1 Farkas certificate names more implicit
+equalities, until the LP is feasible or they leave only the zero cone.
 """
 
 from __future__ import annotations
@@ -195,7 +198,11 @@ def intersect(s1: LinearSystem, s2: LinearSystem) -> LinearSystem:
 # phase-1 simplex (Bland's rule, exact fraction-free integer pivoting)
 
 
-def solve_nonneg(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[tuple[list[int], int]]:
+def solve_nonneg(
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    certificate: Optional[list[int]] = None,
+) -> Optional[tuple[list[int], int]]:
     """Find x >= 0 with A x = b exactly, or None if infeasible.
 
     The solution is returned in integers as ``(y, D)`` with ``x = y / D``
@@ -208,6 +215,11 @@ def solve_nonneg(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[
     a's column (an exact division, Bareiss 1968), and then sets D = p.
     Since D > 0, sign tests and cross-multiplied ratio comparisons decide
     exactly as on the true values.
+
+    When the LP is infeasible and ``certificate`` is a list, it is filled
+    with the final phase-1 objective row d, one entry per column of A.  It
+    is a Farkas certificate: for some y, ``y^T A = d / D <= 0`` and
+    ``y^T b > 0``, so no x >= 0 solves A x = b.
     """
     m = len(rows)
     if m == 0:
@@ -283,6 +295,8 @@ def solve_nonneg(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[
         basis[leave] = enter
 
     if value != 0:
+        if certificate is not None:
+            certificate[:] = d
         return None
     y = [0] * n
     for i, j in enumerate(basis):
@@ -291,11 +305,23 @@ def solve_nonneg(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[
     return y, D
 
 
-def _strict_feasible(rows: Sequence[IntRow], strict: Sequence[IntRow]) -> Optional[tuple[list[int], int]]:
+def _strict_feasible(
+    rows: Sequence[IntRow],
+    strict: Sequence[IntRow],
+    farkas: Optional[list[tuple[IntRow, int]]] = None,
+) -> Optional[tuple[list[int], int]]:
     """A point y / D with row.y >= 0 for all rows and row.y >= D for strict rows.
 
     Free variables are split as y = u - w; slack columns make the zero-rhs
     rows a ready-made basis, so artificials are only needed on strict rows.
+
+    When there is no such point and ``farkas`` is a list, it is filled with
+    a pair ``(row, lam)`` for every row: integers lam >= 0 with
+    ``sum lam * row = 0`` and lam > 0 on some strict row.  Each row has its
+    own slack column, with coefficient -1 (strict) or +1 (plain), so its
+    multiplier is read off that column of the certificate of
+    :func:`solve_nonneg`, times D.  Every row with lam > 0 vanishes on the
+    cone of all rows.
     """
     if not rows and not strict:
         return None
@@ -317,8 +343,11 @@ def _strict_feasible(rows: Sequence[IntRow], strict: Sequence[IntRow]) -> Option
             slack[i] = 1
             b.append(0)
         A.append(line + slack)
-    sol = solve_nonneg(A, b)
+    certificate: list[int] = []
+    sol = solve_nonneg(A, b, certificate)
     if sol is None:
+        if farkas is not None:
+            farkas[:] = [(row, -certificate[2 * d + i]) for i, row in enumerate(ordered)]
         return None
     x, D = sol
     return [x[j] - x[d + j] for j in range(d)], D
@@ -340,6 +369,18 @@ class _ConeAnalysis:
 # benchmark pass of CLI invocations makes about 150 misses
 @functools.lru_cache(maxsize=4096)
 def _analyze(system: LinearSystem) -> _ConeAnalysis:
+    """Dimension, a relative-interior point, and the rows in the equalities' null space.
+
+    The inequalities are projected onto a basis of the null space of the
+    equalities.  A projected row whose opposite is also a row is an implicit
+    equality; the others are candidates.  One LP asks for a point with every
+    candidate strictly positive.  If there is none, the rows its Farkas
+    certificate weights are implicit equalities, at least one of them a
+    candidate; they stop being candidates and the LP is solved again, unless
+    the implicit equalities already cut the cone down to zero.  The last
+    feasible solve is strictly positive on every row that is not an implicit
+    equality, so it is a relative-interior point.
+    """
     m = system.dim
     eqs = system.equalities
     basis = tuple(nullspace_basis(eqs, m))
@@ -359,29 +400,25 @@ def _analyze(system: LinearSystem) -> _ConeAnalysis:
         else:
             candidates.append(r)
 
-    witnesses: list[tuple[list[int], int]] = []
-    if candidates:
-        joint = _strict_feasible(proj_rows, candidates)
-        if joint is not None:
-            witnesses.append(joint)
-        else:
-            for r in candidates:
-                w = _strict_feasible(proj_rows, [r])
-                if w is None:
-                    implicit.append(r)
-                else:
-                    witnesses.append(w)
+    witness = None
+    while candidates:
+        farkas: list[tuple[IntRow, int]] = []
+        witness = _strict_feasible(proj_rows, candidates, farkas)
+        if witness is not None:
+            break
+        forced = {row for row, lam in farkas if lam}
+        implicit += [r for r in candidates if r in forced]
+        candidates = [r for r in candidates if r not in forced]
+        if exact_rank(implicit) == span_dim:
+            break  # the zero cone: every row left vanishes on it too
 
     cone_dim = span_dim - exact_rank(implicit)
     if cone_dim == 0:
         return _ConeAnalysis(0, None, basis, proj_rows)
 
-    if witnesses:
-        # the sum of the witnesses y / D, scaled by the lcm of their D
-        scale = lcm(*(D for _, D in witnesses))
-        y = [sum(w[j] * (scale // D) for w, D in witnesses) for j in range(span_dim)]
-    else:
-        y = list(nullspace_basis(implicit, span_dim)[0])
+    # y / D is positive on every candidate; with none left, any point of the
+    # implicit equalities' null space is interior
+    y = witness[0] if witness is not None else nullspace_basis(implicit, span_dim)[0]
     point = [sum(coeff * vec[j] for coeff, vec in zip(y, basis)) for j in range(m)]
     prim = primitive_vector(point)
     assert prim is not None

@@ -41,9 +41,11 @@ def pair_cone(
 ) -> LinearSystem:
     """Directions where the support maximum is attained at both alpha0, alpha1.
 
-    The system collects ``(alpha0 - alpha) . xi >= 0`` and
-    ``(alpha1 - alpha) . xi >= 0`` over the whole support; together these
-    force ``(alpha0 - alpha1) . xi = 0``, stored as an equality row.
+    The system is the equality ``(alpha0 - alpha1) . xi = 0`` and the rows
+    ``(alpha0 - alpha) . xi >= 0`` over the whole support.  The rows
+    ``(alpha1 - alpha) . xi >= 0`` are left out: each is
+    ``(alpha0 - alpha) - (alpha0 - alpha1)``, so modulo the equality it
+    reduces to the same row.
     """
     pts = sorted({tuple(p) for p in support})
     a0 = tuple(alpha0)
@@ -53,10 +55,7 @@ def pair_cone(
     if a0 not in pts or a1 not in pts:
         raise ValueError("both points must belong to the support")
     dim = len(a0)
-    ineqs = []
-    for a in pts:
-        ineqs.append(tuple(x - y for x, y in zip(a0, a)))
-        ineqs.append(tuple(x - y for x, y in zip(a1, a)))
+    ineqs = [tuple(x - y for x, y in zip(a0, a)) for a in pts]
     equality = tuple(x - y for x, y in zip(a0, a1))
     return LinearSystem.make(dim, [equality], ineqs)
 

@@ -20,7 +20,15 @@ import numpy as np
 from mpmath import mp
 
 import loglimset
-from loglimset.exactgeom import LinearSystem, cone_dimension
+from loglimset.exactgeom import (
+    LinearSystem,
+    _strict_feasible,
+    cone_dimension,
+    dot,
+    exact_rank,
+    nullspace_basis,
+    primitive_vector,
+)
 from loglimset.knots import TorusKnotParams, a_polynomial
 from loglimset.laurent import LaurentPolynomial
 from loglimset.loglim import SampleParams, SamplePoint, SampleResult
@@ -236,6 +244,22 @@ def solve_nonneg_fraction(rows: Sequence[Sequence[int | Fraction]], rhs: Sequenc
         if j < n:
             x[j] = b[i]
     return x
+
+
+# Reference cone analysis that solves one LP per candidate row once the joint
+# strict LP is infeasible, as exactgeom._analyze did before it read implicit
+# equalities off the Farkas certificate.  Tests compare the Farkas loop to it.
+def analyze_per_candidate(system: LinearSystem) -> tuple[int, frozenset]:
+    """(cone dimension, the inequality rows that vanish on the whole cone)."""
+    basis = nullspace_basis(system.equalities, system.dim)
+    projected = {row: primitive_vector([dot(row, v) for v in basis]) for row in system.inequalities}
+    proj_rows = sorted(set(projected.values()))
+    implicit = [r for r in proj_rows if tuple(-x for x in r) in proj_rows]
+    candidates = [r for r in proj_rows if r not in implicit]
+    if candidates and _strict_feasible(proj_rows, candidates) is None:
+        implicit += [r for r in candidates if _strict_feasible(proj_rows, [r]) is None]
+    vanishing = frozenset(row for row, pr in projected.items() if pr in implicit)
+    return len(basis) - exact_rank(implicit), vanishing
 
 
 # Reference cells of one support, built from every pair of support points: the

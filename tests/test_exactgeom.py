@@ -6,12 +6,15 @@ from math import gcd
 import numpy as np
 import pytest
 
-from conftest import primitive_vectors_py, rref_fraction, solve_nonneg_fraction
+from conftest import analyze_per_candidate, primitive_vectors_py, rref_fraction, solve_nonneg_fraction
+from loglimset import exactgeom
 from loglimset.exactgeom import (
     LinearSystem,
+    _strict_feasible,
     cone_contains,
     cone_dimension,
     cone_strict_feasible,
+    dot,
     exact_rank,
     interior_point,
     intersect,
@@ -20,6 +23,7 @@ from loglimset.exactgeom import (
     rref,
     solve_nonneg,
 )
+from loglimset.sphdual import pair_cone
 
 
 def _as_fractions(result):
@@ -287,6 +291,102 @@ class TestFractionFreeKernel:
 
     def test_empty_system(self):
         assert solve_nonneg([], []) == ([], 1)
+
+
+def _random_cone(rng: random.Random) -> LinearSystem:
+    """m 2-5; a few rows plus negated combinations of some of them, which
+    makes those rows implicit equalities, sometimes under an equality."""
+    m = rng.randint(2, 5)
+    base = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(2, m + 1))]
+    rows = list(base)
+    for _ in range(rng.randint(1, 2)):
+        group = rng.sample(base, rng.randint(1, 2))
+        coeffs = [rng.randint(1, 2) for _ in group]
+        rows.append(tuple(-sum(c * r[i] for c, r in zip(coeffs, group)) for i in range(m)))
+    eqs = [tuple(rng.randint(-2, 2) for _ in range(m))] if rng.random() < 0.2 else []
+    return LinearSystem.make(m, eqs, rows)
+
+
+def _pair_cone_sample(rng: random.Random) -> LinearSystem:
+    """The pair cone of two points of a random support, m 2-4."""
+    m = rng.randint(2, 4)
+    pts = {tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(rng.randint(3, 10))}
+    pts = sorted(pts | {(0,) * m, (1,) * m})
+    return pair_cone(pts, *rng.sample(pts, 2))
+
+
+class TestFarkasLoop:
+    """The Farkas loop of _analyze against the per-candidate LPs kept in conftest."""
+
+    def test_matches_per_candidate_analysis(self, monkeypatch):
+        solves: list[bool] = []
+
+        def recording(rows, strict, farkas=None):
+            result = _strict_feasible(rows, strict, farkas)
+            solves.append(result is None)
+            return result
+
+        monkeypatch.setattr(exactgeom, "_strict_feasible", recording)
+        rng = random.Random(1313)
+        systems = [_random_cone(rng) for _ in range(600)] + [_pair_cone_sample(rng) for _ in range(150)]
+        rounds: dict[tuple[int, bool], int] = {}
+        for s in systems:
+            solves.clear()
+            info = exactgeom._analyze.__wrapped__(s)
+            dim, vanishing = analyze_per_candidate(s)
+            assert info.dimension == dim, s
+            key = (min(sum(solves), 2), dim > 0)
+            rounds[key] = rounds.get(key, 0) + 1
+            p = info.interior
+            if dim == 0:
+                assert p is None and vanishing == frozenset(s.inequalities), s
+                continue
+            # every equality holds, and exactly the implicit rows vanish
+            assert s.satisfied_by(p) and any(p), s
+            assert frozenset(r for r in s.inequalities if dot(r, p) == 0) == vanishing, s
+        # (infeasible solves, capped at 2; nonzero cone): the sample must hold
+        # two or more Farkas rounds, both before a feasible solve and on zero
+        # cones that the first certificate does not settle
+        assert rounds[2, True] >= 10 and rounds[2, False] >= 5, rounds
+        assert rounds[0, True] >= 100 and rounds[1, True] >= 50 and rounds[1, False] >= 50, rounds
+
+    def test_infeasible_strict_lp_gives_a_farkas_certificate(self):
+        rng = random.Random(4242)
+        checked = 0
+        for _ in range(400):
+            s = _random_cone(rng)
+            rows = sorted(set(s.inequalities))
+            if not rows:
+                continue
+            strict = rng.sample(rows, rng.randint(1, len(rows)))
+            farkas: list = []
+            if _strict_feasible(rows, strict, farkas) is not None:
+                assert farkas == []
+                continue
+            checked += 1
+            assert sorted(row for row, _ in farkas) == rows
+            assert all(type(lam) is int and lam >= 0 for _, lam in farkas)
+            assert all(sum(lam * row[j] for row, lam in farkas) == 0 for j in range(s.dim))
+            assert any(lam > 0 for row, lam in farkas if row in strict)
+        assert checked >= 100
+
+    def test_certificate_of_opposite_rows(self):
+        farkas: list = []
+        assert _strict_feasible([(-1, 0), (1, 0), (0, 1)], [(1, 0)], farkas) is None
+        weights = dict(farkas)
+        assert weights[(1, 0)] == weights[(-1, 0)] > 0 and weights[(0, 1)] == 0
+
+    def test_solve_nonneg_fills_the_certificate_only_when_infeasible(self):
+        rng = random.Random(5150)
+        for k in range(200):
+            rows, rhs = _random_system(rng, feasible=k % 2 == 0)
+            certificate: list = []
+            result = solve_nonneg(rows, rhs, certificate)
+            if result is None:
+                # the final phase-1 objective row: no column can enter
+                assert len(certificate) == len(rows[0]) and all(v <= 0 for v in certificate)
+            else:
+                assert certificate == []
 
 
 def _random_matrix(rng: random.Random) -> list[list[int]]:

@@ -55,6 +55,20 @@ class TestPairCone:
             a, b = pts[0], pts[-1]
             assert pair_cone(pts, a, b) == pair_cone(pts, b, a)
 
+    def test_equals_the_two_sided_system(self):
+        # the rows (alpha1 - alpha) reduce to the (alpha0 - alpha) rows
+        # modulo the equality, so leaving them out changes nothing
+        rng = random.Random(3000)
+        for _ in range(1000):
+            m = rng.randint(2, 4)
+            pts = sorted({tuple(rng.randint(-5, 5) for _ in range(m)) for _ in range(rng.randint(2, 12))})
+            if len(pts) < 2:
+                continue
+            a0, a1 = rng.sample(pts, 2)
+            ineqs = [tuple(x - y for x, y in zip(a, p)) for p in pts for a in (a0, a1)]
+            two_sided = LinearSystem.make(m, [tuple(x - y for x, y in zip(a0, a1))], ineqs)
+            assert pair_cone(pts, a0, a1) == two_sided, (pts, a0, a1)
+
     def test_rejects_equal_or_missing_points(self):
         with pytest.raises(ValueError):
             pair_cone([(0, 0), (1, 0)], (0, 0), (0, 0))
