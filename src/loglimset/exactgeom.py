@@ -5,11 +5,14 @@ Cones are described by homogeneous integer linear systems (rows meaning
 the integers: elimination is fraction-free (a row is reduced against a pivot
 row with ``p*row - f*prow``, p > 0, and kept primitive), and feasibility
 uses a phase-1 simplex with fraction-free integer pivoting (Bareiss) and
-Bland's anti-cycling rule.  Cone dimension comes from the implicit
-equalities, the inequalities that vanish on the whole cone: one LP asks for
-a point strictly positive on every inequality not yet known to be implicit,
-and when it is infeasible its phase-1 Farkas certificate names more implicit
-equalities, until the LP is feasible or they leave only the zero cone.
+Bland's anti-cycling rule.  Every LP asks one question (:func:`balance`):
+is there a nonnegative combination of some rows that is zero and weighs a
+chosen subset?  By Gordan's alternative, when there is none the Farkas
+certificate is a point strictly positive on that subset and nonnegative on
+every row.  Cone dimension comes from the implicit equalities, the
+inequalities that vanish on the whole cone: each combination found names
+more of them, until none is left and the certificate point is a
+relative-interior point, or they leave only the zero cone.
 """
 
 from __future__ import annotations
@@ -217,9 +220,13 @@ def solve_nonneg(
     exactly as on the true values.
 
     When the LP is infeasible and ``certificate`` is a list, it is filled
-    with the final phase-1 objective row d, one entry per column of A.  It
-    is a Farkas certificate: for some y, ``y^T A = d / D <= 0`` and
-    ``y^T b > 0``, so no x >= 0 solves A x = b.
+    with a Farkas certificate y, one integer per row of A in the rows'
+    given signs: ``y^T A <= 0`` and ``y^T b > 0``, so no x >= 0 solves
+    A x = b.  It is D times the phase-1 simplex multipliers, read off the
+    final objective row at each row's starting basic column: a crash
+    column's entry is the multiplier, an artificial column's entry is the
+    multiplier minus D (its cost).  T and d carry the artificial columns
+    only when a certificate is asked for.
     """
     m = len(rows)
     if m == 0:
@@ -246,12 +253,18 @@ def solve_nonneg(
     art_rows = [i for i in range(m) if basis[i] == -1]
     for k, i in enumerate(art_rows):
         basis[i] = n + k
+    start = list(basis)
 
     # phase-1 objective: minimise the sum of artificials (with none, d is
     # zero and the crash basis is the answer).  d[j] is the rate at which
     # the objective drops when structural column j enters.  The artificial
-    # columns never re-enter, so neither T nor d stores them.
+    # columns never re-enter, so T and d store them only for a certificate;
+    # a basic column's entry of d starts at 0.
     d = [sum(T[i][j] for i in art_rows) for j in range(n)]
+    if certificate is not None:
+        for i in range(m):
+            T[i] += [int(k == i) for k in art_rows]
+        d += [0] * len(art_rows)
     value = sum(b[i] for i in art_rows)
     D = 1
 
@@ -296,7 +309,9 @@ def solve_nonneg(
 
     if value != 0:
         if certificate is not None:
-            certificate[:] = d
+            certificate[:] = [
+                (-1 if r < 0 else 1) * (d[j] + D if j >= n else d[j]) for r, j in zip(rhs, start)
+            ]
         return None
     y = [0] * n
     for i, j in enumerate(basis):
@@ -305,52 +320,33 @@ def solve_nonneg(
     return y, D
 
 
-def _strict_feasible(
+def balance(
     rows: Sequence[IntRow],
-    strict: Sequence[IntRow],
-    farkas: Optional[list[tuple[IntRow, int]]] = None,
-) -> Optional[tuple[list[int], int]]:
-    """A point y / D with row.y >= 0 for all rows and row.y >= D for strict rows.
+    weighted: Iterable[IntRow],
+    point: Optional[list[int]] = None,
+) -> Optional[list[int]]:
+    """Integers lam >= 0, one per row, with ``sum lam_i * row_i = 0`` and
+    lam > 0 on some weighted row; None if there are none.
 
-    Free variables are split as y = u - w; slack columns make the zero-rhs
-    rows a ready-made basis, so artificials are only needed on strict rows.
-
-    When there is no such point and ``farkas`` is a list, it is filled with
-    a pair ``(row, lam)`` for every row: integers lam >= 0 with
-    ``sum lam * row = 0`` and lam > 0 on some strict row.  Each row has its
-    own slack column, with coefficient -1 (strict) or +1 (plain), so its
-    multiplier is read off that column of the certificate of
-    :func:`solve_nonneg`, times D.  Every row with lam > 0 vanishes on the
-    cone of all rows.
+    One LP over the rows as columns, with the normalisation ``sum of lam
+    over the weighted rows = 1``.  By Gordan's alternative there is no lam
+    exactly when some point is strictly positive on every weighted row and
+    nonnegative on every row; when ``point`` is a list it is then filled
+    with such an integer point, minus the first ``len(row)`` entries of the
+    Farkas certificate of :func:`solve_nonneg`.  Every row with lam > 0
+    vanishes on the cone that the rows cut out.
     """
-    if not rows and not strict:
-        return None
-    d = len(rows[0]) if rows else len(strict[0])
-    strict_set = set(strict)
-    plain = [r for r in rows if r not in strict_set]
-    ordered = list(strict) + plain
-    k = len(ordered)
-    A: list[list[int]] = []
-    b: list[int] = []
-    for i, row in enumerate(ordered):
-        slack = [0] * k
-        if i < len(strict):
-            line = list(row) + [-x for x in row]
-            slack[i] = -1
-            b.append(1)
-        else:
-            line = [-x for x in row] + list(row)
-            slack[i] = 1
-            b.append(0)
-        A.append(line + slack)
-    certificate: list[int] = []
-    sol = solve_nonneg(A, b, certificate)
+    dim = len(rows[0])
+    chosen = set(weighted)
+    A = [[row[j] for row in rows] for j in range(dim)]
+    A.append([int(row in chosen) for row in rows])
+    certificate = None if point is None else []
+    sol = solve_nonneg(A, [0] * dim + [1], certificate)
     if sol is None:
-        if farkas is not None:
-            farkas[:] = [(row, -certificate[2 * d + i]) for i, row in enumerate(ordered)]
+        if point is not None:
+            point[:] = [-v for v in certificate[:dim]]
         return None
-    x, D = sol
-    return [x[j] - x[d + j] for j in range(d)], D
+    return sol[0]
 
 
 # ----------------------------------------------------------------------
@@ -372,14 +368,15 @@ def _analyze(system: LinearSystem) -> _ConeAnalysis:
     """Dimension, a relative-interior point, and the rows in the equalities' null space.
 
     The inequalities are projected onto a basis of the null space of the
-    equalities.  A projected row whose opposite is also a row is an implicit
-    equality; the others are candidates.  One LP asks for a point with every
-    candidate strictly positive.  If there is none, the rows its Farkas
-    certificate weights are implicit equalities, at least one of them a
-    candidate; they stop being candidates and the LP is solved again, unless
-    the implicit equalities already cut the cone down to zero.  The last
-    feasible solve is strictly positive on every row that is not an implicit
-    equality, so it is a relative-interior point.
+    equalities; at first every projected row is a candidate.  One LP
+    (:func:`balance`) asks for a nonnegative combination of the rows that
+    is zero and weighs some candidate.  If there is one, the rows it weighs
+    are implicit equalities, at least one of them a candidate; they stop
+    being candidates and the LP is solved again, unless the implicit
+    equalities already cut the cone down to zero.  If there is none,
+    Gordan's alternative gives a point strictly positive on every candidate
+    and nonnegative on every row, so zero on exactly the implicit
+    equalities: a relative-interior point.
     """
     m = system.dim
     eqs = system.equalities
@@ -393,20 +390,13 @@ def _analyze(system: LinearSystem) -> _ConeAnalysis:
     proj_rows = tuple(sorted(projected))
 
     implicit: list[IntRow] = []
-    candidates: list[IntRow] = []
-    for r in proj_rows:
-        if tuple(-x for x in r) in projected:
-            implicit.append(r)
-        else:
-            candidates.append(r)
-
-    witness = None
+    candidates = list(proj_rows)
+    witness: list[int] = []
     while candidates:
-        farkas: list[tuple[IntRow, int]] = []
-        witness = _strict_feasible(proj_rows, candidates, farkas)
-        if witness is not None:
+        lam = balance(proj_rows, candidates, witness)
+        if lam is None:
             break
-        forced = {row for row, lam in farkas if lam}
+        forced = {row for row, weight in zip(proj_rows, lam) if weight}
         implicit += [r for r in candidates if r in forced]
         candidates = [r for r in candidates if r not in forced]
         if exact_rank(implicit) == span_dim:
@@ -416,9 +406,9 @@ def _analyze(system: LinearSystem) -> _ConeAnalysis:
     if cone_dim == 0:
         return _ConeAnalysis(0, None, basis, proj_rows)
 
-    # y / D is positive on every candidate; with none left, any point of the
-    # implicit equalities' null space is interior
-    y = witness[0] if witness is not None else nullspace_basis(implicit, span_dim)[0]
+    # the witness is positive on every candidate; with none left, any point
+    # of the implicit equalities' null space is interior
+    y = witness if candidates else nullspace_basis(implicit, span_dim)[0]
     point = [sum(coeff * vec[j] for coeff, vec in zip(y, basis)) for j in range(m)]
     prim = primitive_vector(point)
     assert prim is not None
@@ -445,7 +435,7 @@ def cone_strict_feasible(system: LinearSystem, row: Sequence[int]) -> bool:
     pr = primitive_vector([dot(row, v) for v in info.span_basis])
     if pr is None:
         return False
-    return _strict_feasible(tuple(sorted(set(info.projected_rows) | {pr})), [pr]) is not None
+    return balance(sorted(set(info.projected_rows) | {pr}), [pr]) is None
 
 
 def cone_contains(inner: LinearSystem, outer: LinearSystem) -> bool:

@@ -1,10 +1,11 @@
 """Newton polytopes of Laurent polynomials as exact lattice vertex sets.
 
-Extreme points are found by LP filtering: a support point is a vertex
-exactly when it is not a convex combination of the remaining points, which
-is an exact-rational feasibility problem.  A cheap sweep over small integer
-directions marks most vertices first so the LP only runs on the doubtful
-points.
+Extreme points are found by LP filtering: a support point p is a vertex
+exactly when it is not a convex combination of the remaining points q,
+that is when the differences q - p have no nonnegative combination that is
+zero and not all zero (``exactgeom.balance``, one exact integer LP).  A
+cheap sweep over small integer directions marks most vertices first so the
+LP only runs on the doubtful points.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .exactgeom import exact_rank, solve_nonneg
+from .exactgeom import balance, exact_rank
 from .laurent import ExponentVector, LaurentPolynomial
 
 _PREFILTER_DIM_LIMIT = 4
@@ -29,15 +30,6 @@ def _sweep_directions(dim: int) -> list[tuple[int, ...]]:
     dirs.append((1,) * dim)
     dirs.append((-1,) * dim)
     return dirs
-
-
-def _in_convex_hull(point: ExponentVector, others: list[ExponentVector]) -> bool:
-    dim = len(point)
-    rows: list[list[int]] = [[1] * len(others)]
-    for i in range(dim):
-        rows.append([q[i] for q in others])
-    rhs = [1] + list(point)
-    return solve_nonneg(rows, rhs) is not None
 
 
 def extreme_points(points: Iterable[ExponentVector], dim: int) -> frozenset[ExponentVector]:
@@ -64,8 +56,9 @@ def extreme_points(points: Iterable[ExponentVector], dim: int) -> frozenset[Expo
     for p in pts:
         if p in vertices:
             continue
-        others = [q for q in pts if q != p]
-        if not _in_convex_hull(p, others):
+        # p = sum lam_q q with sum lam_q = 1 exactly when the q - p balance
+        diffs = [tuple(a - b for a, b in zip(q, p)) for q in pts if q != p]
+        if balance(diffs, diffs) is None:
             vertices.add(p)
     return frozenset(vertices)
 

@@ -22,12 +22,12 @@ from mpmath import mp
 import loglimset
 from loglimset.exactgeom import (
     LinearSystem,
-    _strict_feasible,
     cone_dimension,
     dot,
     exact_rank,
     nullspace_basis,
     primitive_vector,
+    solve_nonneg,
 )
 from loglimset.knots import TorusKnotParams, a_polynomial
 from loglimset.laurent import LaurentPolynomial
@@ -246,9 +246,36 @@ def solve_nonneg_fraction(rows: Sequence[Sequence[int | Fraction]], rhs: Sequenc
     return x
 
 
+# The hull LP that polytope.extreme_points solved before it asked balance:
+# point = sum lam_q q over the others, with sum lam_q = 1 and lam >= 0.
+def in_convex_hull_fraction(point: Sequence[int], others: Sequence[Sequence[int]]) -> bool:
+    rows = [[1] * len(others)] + [[q[i] for q in others] for i in range(len(point))]
+    return solve_nonneg_fraction(rows, [1, *point]) is not None
+
+
+# The primal strict LP that exactgeom used before it asked balance: free
+# unknowns split as y = u - w and one slack column per row.  It runs on the
+# integer kernel, which tests compare to the Fraction tableau above.
+def strict_feasible(rows: Sequence[Sequence[int]], strict: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
+    """A point y with row.y >= 0 for all rows and row.y >= 1 for strict rows, or None."""
+    d = len(rows[0]) if rows else len(strict[0])
+    strict_set = set(strict)
+    ordered = list(strict) + [r for r in rows if r not in strict_set]
+    A = []
+    for i, row in enumerate(ordered):
+        slack = [0] * len(ordered)
+        slack[i] = -1
+        A.append(list(row) + [-x for x in row] + slack)
+    sol = solve_nonneg(A, [int(i < len(strict)) for i in range(len(ordered))])
+    if sol is None:
+        return None
+    x, D = sol
+    return [Fraction(x[j] - x[d + j], D) for j in range(d)]
+
+
 # Reference cone analysis that solves one LP per candidate row once the joint
 # strict LP is infeasible, as exactgeom._analyze did before it read implicit
-# equalities off the Farkas certificate.  Tests compare the Farkas loop to it.
+# equalities off a certificate.  Tests compare the balance loop to it.
 def analyze_per_candidate(system: LinearSystem) -> tuple[int, frozenset]:
     """(cone dimension, the inequality rows that vanish on the whole cone)."""
     basis = nullspace_basis(system.equalities, system.dim)
@@ -256,8 +283,8 @@ def analyze_per_candidate(system: LinearSystem) -> tuple[int, frozenset]:
     proj_rows = sorted(set(projected.values()))
     implicit = [r for r in proj_rows if tuple(-x for x in r) in proj_rows]
     candidates = [r for r in proj_rows if r not in implicit]
-    if candidates and _strict_feasible(proj_rows, candidates) is None:
-        implicit += [r for r in candidates if _strict_feasible(proj_rows, [r]) is None]
+    if candidates and strict_feasible(proj_rows, candidates) is None:
+        implicit += [r for r in candidates if strict_feasible(proj_rows, [r]) is None]
     vanishing = frozenset(row for row, pr in projected.items() if pr in implicit)
     return len(basis) - exact_rank(implicit), vanishing
 

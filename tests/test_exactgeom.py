@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,11 +7,11 @@ from math import gcd
 import numpy as np
 import pytest
 
-from conftest import analyze_per_candidate, primitive_vectors_py, rref_fraction, solve_nonneg_fraction
+from conftest import analyze_per_candidate, primitive_vectors_py, rref_fraction, solve_nonneg_fraction, strict_feasible
 from loglimset import exactgeom
 from loglimset.exactgeom import (
     LinearSystem,
-    _strict_feasible,
+    balance,
     cone_contains,
     cone_dimension,
     cone_strict_feasible,
@@ -56,6 +57,50 @@ class TestCanonicalisation:
         # on the line x = y the rows (1, 0) and (0, 1) agree
         s = LinearSystem.make(2, equalities=[(1, -1)], inequalities=[(1, 0), (0, 1)])
         assert s.inequalities == ((0, 1),)
+
+    def test_no_opposite_inequalities_remain(self):
+        # _analyze relies on this: no two inequalities of a made system are
+        # opposite modulo the equality span, even when they only become
+        # opposite once another pair has been promoted
+        rng = random.Random(6060)
+        grew = grew_by_two = 0
+        for _ in range(300):
+            m = rng.randint(2, 5)
+            eqs = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(rng.randint(0, 2))]
+            ineqs = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(1, 3)):
+                r = rng.choice(ineqs)
+                if rng.random() < 0.5:
+                    # opposite to r modulo the equalities
+                    e = [sum(rng.randint(-2, 2) * q[i] for q in eqs) for i in range(m)]
+                    ineqs.append([-rng.randint(1, 3) * a + b for a, b in zip(r, e)])
+                else:
+                    # s and -(s + k r) are opposite once r and -r are promoted
+                    t = [rng.randint(-3, 3) for _ in range(m)]
+                    k = rng.randint(1, 2)
+                    ineqs += [[-a for a in r], t, [-(a + k * b) for a, b in zip(t, r)]]
+            rng.shuffle(ineqs)
+            s = LinearSystem.make(m, eqs, ineqs)
+            pivots, reduced = rref_fraction(s.equalities)
+
+            def unit_rep(row):
+                vec = [Fraction(x) for x in row]
+                for prow, col in zip(reduced, pivots):
+                    vec = [a - vec[col] * c for a, c in zip(vec, prow)]
+                lead = next(abs(x) for x in vec if x)  # no inequality lies in the span
+                return tuple(x / lead for x in vec)
+
+            reps = {unit_rep(row) for row in s.inequalities}
+            assert len(reps) == len(s.inequalities), s
+            assert not any(tuple(-x for x in rep) in reps for rep in reps), s
+            # the same cone: every point of a small grid satisfies both or neither
+            for xi in itertools.product((-1, 0, 1), repeat=m):
+                raw = all(dot(e, xi) == 0 for e in eqs) and all(dot(r, xi) >= 0 for r in ineqs)
+                assert s.satisfied_by(xi) == raw, (eqs, ineqs, xi)
+            rank = exact_rank(eqs) if eqs else 0
+            grew += len(s.equalities) > rank
+            grew_by_two += len(s.equalities) > rank + 1
+        assert grew >= 150 and grew_by_two >= 50, (grew, grew_by_two)
 
     def test_zero_rows_dropped(self):
         s = LinearSystem.make(3, equalities=[(0, 0, 0)], inequalities=[(0, 0, 0)])
@@ -315,18 +360,31 @@ def _pair_cone_sample(rng: random.Random) -> LinearSystem:
     return pair_cone(pts, *rng.sample(pts, 2))
 
 
+def _random_rows(rng: random.Random) -> list[tuple[int, ...]]:
+    """m 2-5; 1-6 distinct nonzero rows, sometimes with a negated
+    combination of some of them, which makes those rows balance."""
+    m = rng.randint(2, 5)
+    rows = []
+    while not any(map(any, rows)):
+        rows = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.5:
+        group = rng.sample(rows, rng.randint(1, min(2, len(rows))))
+        rows.append(tuple(-sum(rng.randint(1, 2) * r[i] for r in group) for i in range(m)))
+    return sorted({r for r in rows if any(r)})
+
+
 class TestFarkasLoop:
-    """The Farkas loop of _analyze against the per-candidate LPs kept in conftest."""
+    """The balance loop of _analyze against the per-candidate LPs kept in conftest."""
 
     def test_matches_per_candidate_analysis(self, monkeypatch):
         solves: list[bool] = []
 
-        def recording(rows, strict, farkas=None):
-            result = _strict_feasible(rows, strict, farkas)
-            solves.append(result is None)
+        def recording(rows, weighted, point=None):
+            result = balance(rows, weighted, point)
+            solves.append(result is not None)
             return result
 
-        monkeypatch.setattr(exactgeom, "_strict_feasible", recording)
+        monkeypatch.setattr(exactgeom, "balance", recording)
         rng = random.Random(1313)
         systems = [_random_cone(rng) for _ in range(600)] + [_pair_cone_sample(rng) for _ in range(150)]
         rounds: dict[tuple[int, bool], int] = {}
@@ -344,49 +402,72 @@ class TestFarkasLoop:
             # every equality holds, and exactly the implicit rows vanish
             assert s.satisfied_by(p) and any(p), s
             assert frozenset(r for r in s.inequalities if dot(r, p) == 0) == vanishing, s
-        # (infeasible solves, capped at 2; nonzero cone): the sample must hold
-        # two or more Farkas rounds, both before a feasible solve and on zero
-        # cones that the first certificate does not settle
+        # (rows balanced, capped at 2; nonzero cone): the sample must hold
+        # two or more balancing rounds, both before the interior point and on
+        # zero cones that the first combination does not settle
         assert rounds[2, True] >= 10 and rounds[2, False] >= 5, rounds
         assert rounds[0, True] >= 100 and rounds[1, True] >= 50 and rounds[1, False] >= 50, rounds
 
     def test_infeasible_strict_lp_gives_a_farkas_certificate(self):
         rng = random.Random(4242)
-        checked = 0
-        for _ in range(400):
-            s = _random_cone(rng)
-            rows = sorted(set(s.inequalities))
-            if not rows:
-                continue
-            strict = rng.sample(rows, rng.randint(1, len(rows)))
-            farkas: list = []
-            if _strict_feasible(rows, strict, farkas) is not None:
-                assert farkas == []
-                continue
-            checked += 1
-            assert sorted(row for row, _ in farkas) == rows
-            assert all(type(lam) is int and lam >= 0 for _, lam in farkas)
-            assert all(sum(lam * row[j] for row, lam in farkas) == 0 for j in range(s.dim))
-            assert any(lam > 0 for row, lam in farkas if row in strict)
-        assert checked >= 100
+        outcomes = {True: 0, False: 0}
+        for _ in range(600):
+            rows = _random_rows(rng)
+            weighted = rng.sample(rows, rng.randint(1, len(rows)))
+            point: list = []
+            lam = balance(rows, weighted, point)
+            strict = strict_feasible(rows, weighted)
+            # exactly one of lam and the point exists
+            assert (lam is None) == (strict is not None) == bool(point), (rows, weighted)
+            outcomes[lam is None] += 1
+            if lam is None:
+                assert len(point) == len(rows[0]) and all(type(v) is int for v in point)
+                assert all(dot(r, point) > 0 for r in weighted), (rows, weighted, point)
+                assert all(dot(r, point) >= 0 for r in rows), (rows, weighted, point)
+            else:
+                assert len(lam) == len(rows) and all(type(v) is int and v >= 0 for v in lam)
+                assert all(sum(v * r[j] for v, r in zip(lam, rows)) == 0 for j in range(len(rows[0])))
+                assert sum(v for v, r in zip(lam, rows) if r in weighted) > 0, (rows, weighted, lam)
+        assert min(outcomes.values()) >= 100, outcomes
 
     def test_certificate_of_opposite_rows(self):
-        farkas: list = []
-        assert _strict_feasible([(-1, 0), (1, 0), (0, 1)], [(1, 0)], farkas) is None
-        weights = dict(farkas)
-        assert weights[(1, 0)] == weights[(-1, 0)] > 0 and weights[(0, 1)] == 0
+        lam = balance([(-1, 0), (1, 0), (0, 1)], [(1, 0)])
+        assert lam[0] == lam[1] > 0 and lam[2] == 0
+        point: list = []
+        assert balance([(1, 0), (0, 1)], [(1, 0)], point) is None
+        assert point[0] > 0 and point[1] >= 0
 
     def test_solve_nonneg_fills_the_certificate_only_when_infeasible(self):
         rng = random.Random(5150)
-        for k in range(200):
+        # infeasible systems whose certificate weighs a row that starts on a
+        # crash column, and one whose rhs entry is negative: the two places
+        # where reading the multiplier off the objective row differs
+        crash = negative = infeasible = 0
+        for k in range(2000):
             rows, rhs = _random_system(rng, feasible=k % 2 == 0)
-            certificate: list = []
-            result = solve_nonneg(rows, rhs, certificate)
-            if result is None:
-                # the final phase-1 objective row: no column can enter
-                assert len(certificate) == len(rows[0]) and all(v <= 0 for v in certificate)
-            else:
-                assert certificate == []
+            # the same system with a unit column planted for one row, which
+            # the crash basis then takes (after the row's sign flip)
+            r = rng.randrange(len(rows))
+            planted = [row + [(-1 if rhs[r] < 0 else 1) * (i == r)] for i, row in enumerate(rows)]
+            for rows in (rows, planted):
+                certificate: list = []
+                if solve_nonneg(rows, rhs, certificate) is not None:
+                    assert certificate == []
+                    continue
+                infeasible += 1
+                y = certificate
+                assert len(y) == len(rows) and all(type(v) is int for v in y)
+                assert all(sum(v * row[j] for v, row in zip(y, rows)) <= 0 for j in range(len(rows[0]))), (rows, rhs, y)
+                assert sum(v * b for v, b in zip(y, rhs)) > 0, (rows, rhs, y)
+                for i, row in enumerate(rows):
+                    sign = -1 if rhs[i] < 0 else 1
+                    unit = any(
+                        sign * row[j] == 1 and all(other[j] == 0 for other in rows if other is not row)
+                        for j in range(len(row))
+                    )
+                    crash += bool(unit and y[i])
+                    negative += bool(rhs[i] < 0 and y[i])
+        assert infeasible >= 400 and crash >= 30 and negative >= 400, (infeasible, crash, negative)
 
 
 def _random_matrix(rng: random.Random) -> list[list[int]]:

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import random
 
 import pytest
 
-from conftest import random_laurent
+from conftest import in_convex_hull_fraction, load_bench_module, random_laurent
+from loglimset.exactgeom import exact_rank
 from loglimset.laurent import LaurentPolynomial, parse
 from loglimset.polytope import (
     LatticePolytope,
@@ -134,3 +136,37 @@ class TestExtremePoints:
     def test_collinear(self):
         pts = [(0, 0), (1, 1), (2, 2), (3, 3)]
         assert extreme_points(pts, 2) == {(0, 0), (3, 3)}
+
+    def test_full_dimensional_supports_pass_the_newton_oracle(self):
+        # the benchmark's newton oracle certifies each vertex by its facets;
+        # a support is the product of itself and the origin
+        check_newton = load_bench_module("oracles").check_newton
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 60:
+            m = rng.randint(2, 4)
+            support = sorted({tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(rng.randint(m + 1, 12))})
+            if exact_rank([[a - b for a, b in zip(p, support[0])] for p in support[1:]]) < m:
+                continue
+            stdout = json.dumps(LatticePolytope.from_points(m, support).to_json_dict())
+            data = {"dim": m, "f": support, "g": [(0,) * m], "product": support}
+            assert check_newton(data, stdout) is None, support
+            checked += 1
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_flat_supports_match_the_hull_lp(self, m):
+        # collinear and coplanar point sets: every point is on the boundary
+        # of the ambient space, so only the LP settles which are vertices
+        rng = random.Random(70 + m)
+        interior = 0
+        for k in range(40):
+            base = [rng.randint(-3, 3) for _ in range(m)]
+            spans = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(1 + k % 2)]
+            pts = {
+                tuple(b + sum(c * v[i] for c, v in zip(coeffs, spans)) for i, b in enumerate(base))
+                for coeffs in (tuple(rng.randint(-2, 2) for _ in spans) for _ in range(rng.randint(3, 9)))
+            }
+            expected = {p for p in pts if not in_convex_hull_fraction(p, [q for q in pts if q != p])}
+            assert extreme_points(pts, m) == expected, pts
+            interior += len(pts) - len(expected)
+        assert interior >= 40
