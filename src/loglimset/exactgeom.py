@@ -361,6 +361,26 @@ class _ConeAnalysis:
     projected_rows: tuple[IntRow, ...]
 
 
+def _unit_solution(rows: Sequence[IntRow], width: int) -> list[int] | None:
+    """Integers y with ``row . y`` the same positive number on every row, if
+    the rows are linearly independent; None if they are not, or there are none.
+
+    Independent rows never balance, so y is a relative-interior witness that
+    needs no LP: one exact solve of ``row . y = 1``, free unknowns set to 0,
+    scaled by the lcm of the pivots.
+    """
+    if not rows or len(rows) > width:
+        return None
+    pivots, reduced = rref(row + (1,) for row in rows)
+    if len(pivots) < len(rows) or width in pivots:
+        return None
+    scale = lcm(*(prow[pcol] for prow, pcol in zip(reduced, pivots)))
+    y = [0] * width
+    for prow, pcol in zip(reduced, pivots):
+        y[pcol] = prow[width] * (scale // prow[pcol])
+    return y
+
+
 # bounded so that a long-lived process cannot grow it without limit; a whole
 # benchmark pass of CLI invocations makes about 150 misses
 @functools.lru_cache(maxsize=4096)
@@ -376,7 +396,9 @@ def _analyze(system: LinearSystem) -> _ConeAnalysis:
     equalities already cut the cone down to zero.  If there is none,
     Gordan's alternative gives a point strictly positive on every candidate
     and nonnegative on every row, so zero on exactly the implicit
-    equalities: a relative-interior point.
+    equalities: a relative-interior point.  Linearly independent rows
+    never balance, so they get that point from :func:`_unit_solution`,
+    with no LP.
     """
     m = system.dim
     eqs = system.equalities
@@ -391,10 +413,12 @@ def _analyze(system: LinearSystem) -> _ConeAnalysis:
 
     implicit: list[IntRow] = []
     candidates = list(proj_rows)
-    witness: list[int] = []
-    while candidates:
-        lam = balance(proj_rows, candidates, witness)
+    witness = _unit_solution(proj_rows, span_dim)
+    while candidates and witness is None:
+        point: list[int] = []
+        lam = balance(proj_rows, candidates, point)
         if lam is None:
+            witness = point
             break
         forced = {row for row, weight in zip(proj_rows, lam) if weight}
         implicit += [r for r in candidates if r in forced]

@@ -10,6 +10,9 @@ the true set quantifies over every element of the ideal.
 for curves in two variables: points of the variety are sampled along
 log-spaced magnitude grids, their coordinate-log vectors are normalised, and
 the resulting directions accumulate on the limit set as the radius grows.
+The roots come in magnitude clusters, one per Newton-polygon segment, and
+each sweep solves all its clusters of one size in one stacked eigenvalue
+call.
 """
 
 from __future__ import annotations
@@ -143,20 +146,27 @@ def _upper_hull(points: list[tuple[int, float]]) -> list[tuple[int, float]]:
     return hull
 
 
-def _root_log_moduli(coeffs: list[tuple[float, complex] | None]) -> list[float]:
-    """``log|w|`` of the roots of ``sum a_k w^k``, cluster by cluster.
+# One root cluster: ``(log_scale, first, stop, desc)``.  Its roots are those of
+# ranks ``first+1 .. stop`` by modulus among the roots of the polynomial with
+# descending coefficients ``desc``, each multiplied by ``e^log_scale``.
+_Cluster = tuple[float, int, int, list[complex]]
+
+
+def _plan_clusters(coeffs: list[tuple[float, complex] | None]) -> list[_Cluster]:
+    """The root clusters of ``sum a_k w^k``, one per Newton-polygon segment.
 
     ``coeffs[k]`` is ``(log|a_k|, a_k / |a_k|)`` in ascending powers, or
     ``None`` for a zero coefficient; the first and last are nonzero.  Each
     segment of the upper Newton polygon of ``(k, log|a_k|)`` holds as many
     roots as it is wide, of modulus about ``e^-slope`` (Ostrowski).  The
-    polynomial is rescaled so that a segment's roots have unit size, the
-    coefficients more than ``_CLUSTER_WINDOW`` nats below the largest are
-    dropped, and the rest is solved in doubles.  So no magnitude ever
-    leaves double range, however far apart the clusters lie.
+    polynomial is rescaled so that a segment's roots have unit size, and
+    the coefficients more than ``_CLUSTER_WINDOW`` nats below the largest
+    are dropped; the rest is left to :func:`_solve_clusters`, in doubles.
+    So no magnitude ever leaves double range, however far apart the
+    clusters lie.
     """
     points = [(k, c[0]) for k, c in enumerate(coeffs) if c is not None]
-    result: list[float] = []
+    clusters: list[_Cluster] = []
     hull = _upper_hull(points)
     for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
         log_scale = (v1 - v2) / (k2 - k1)
@@ -164,16 +174,78 @@ def _root_log_moduli(coeffs: list[tuple[float, complex] | None]) -> list[float]:
         top = max(v for _, v in scaled)
         kept = [(k, v) for k, v in scaled if v >= top - _CLUSTER_WINDOW]
         k_lo, k_hi = kept[0][0], kept[-1][0]
-        desc = np.zeros(k_hi - k_lo + 1, dtype=complex)
+        desc = [0j] * (k_hi - k_lo + 1)
         for k, v in kept:
             desc[k_hi - k] = math.exp(v - top) * coeffs[k][1]
-        roots = [-desc[1] / desc[0]] if len(desc) == 2 else np.roots(desc)
         # the window keeps the roots of ranks k_lo+1 .. k_hi; this segment's
         # are ranks k1+1 .. k2, which stays right when clusters nearly touch
+        clusters.append((log_scale, k1 - k_lo, k2 - k_lo, desc))
+    return clusters
+
+
+def _solve_clusters(descs: list[list[complex]]) -> list[list[complex] | None]:
+    """Roots of each polynomial (descending coefficients, both ends nonzero),
+    or None where the eigenvalue solver fails.
+
+    Polynomials of one length are solved together: a linear one in closed
+    form, the others as one stack of companion matrices, built as
+    ``np.roots`` builds them (Edelman and Murakami, *Polynomial roots from
+    companion matrix eigenvalues*, 1995), in one ``np.linalg.eigvals``
+    call, so the roots are bitwise those of ``np.roots``.  A stack whose
+    solve fails is solved again one matrix at a time.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, desc in enumerate(descs):
+        by_length.setdefault(len(desc), []).append(i)
+    roots: list[list[complex] | None] = [None] * len(descs)
+    for n, members in by_length.items():
+        p = np.array([descs[i] for i in members], dtype=complex)
+        if n == 2:
+            solved = (-p[:, 1:] / p[:, :1]).tolist()
+        else:
+            companion = np.zeros((len(members), n - 1, n - 1), dtype=complex)
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            below = np.arange(n - 2)
+            companion[:, below + 1, below] = 1
+            try:
+                solved = np.linalg.eigvals(companion).tolist()
+            except np.linalg.LinAlgError:
+                solved = [_eigvals_or_none(matrix) for matrix in companion]
+        for i, r in zip(members, solved):
+            roots[i] = r
+    return roots
+
+
+def _eigvals_or_none(matrix: np.ndarray) -> list[complex] | None:
+    try:
+        return np.linalg.eigvals(matrix).tolist()
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _log_moduli(clusters: list[_Cluster], solved: Iterable[list[complex] | None]) -> list[float] | None:
+    """``log|w|`` of each cluster's roots from its solved polynomial; None
+    if the solver failed on any cluster."""
+    result: list[float] = []
+    for (log_scale, first, stop, _), roots in zip(clusters, solved):
+        if roots is None:
+            return None
+        # scalar math.log(abs(w)) per root: numpy's vectorised abs rounds differently
         logs = sorted(math.log(abs(w)) for w in roots if w != 0)
-        chosen = sorted(logs[k1 - k_lo : k2 - k_lo], key=abs)
+        chosen = sorted(logs[first:stop], key=abs)
         result.extend(u + log_scale for u in chosen)
     return result
+
+
+def _root_log_moduli(coeffs: list[tuple[float, complex] | None]) -> list[float]:
+    """``log|w|`` of the roots of ``sum a_k w^k`` (coefficients as in
+    :func:`_plan_clusters`), cluster by cluster; raises ``LinAlgError``
+    when the root solver fails."""
+    clusters = _plan_clusters(coeffs)
+    logs = _log_moduli(clusters, _solve_clusters([c[3] for c in clusters]))
+    if logs is None:
+        raise np.linalg.LinAlgError("root solver did not converge")
+    return logs
 
 
 def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
@@ -189,7 +261,9 @@ def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
     Everything is computed in log-polar doubles: a term ``c * x^e`` is the
     log-modulus ``log|c| + e*log(rho)`` with the phase ``arg c + e*theta``,
     and only ``log|root|`` reaches the output, so magnitudes like e^23000
-    never exist as numbers.
+    never exist as numbers.  A sweep first plans the root clusters of every
+    grid point (:func:`_plan_clusters`), then solves them all at once
+    (:func:`_solve_clusters`), then emits its points.
     """
     if len(f.variables) != 2:
         raise ValueError("sampling is implemented for two variables only")
@@ -221,6 +295,8 @@ def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
                     rng.uniform(0.0, 2.0 * math.pi)
                     result.skipped.append((sweep, gi, pi, "constant in the free variable"))
             continue
+        # (grid index, phase, t, clusters), clusters None without roots
+        planned: list[tuple[int, int, float, list[_Cluster] | None]] = []
         for gi in range(params.grid):
             t = log_lo + step * gi
             for pi in range(params.phases):
@@ -248,24 +324,28 @@ def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
                     lo += 1
                 while hi > lo and coeffs[hi - 1] is None:
                     hi -= 1
-                if hi - lo <= 1:
-                    result.skipped.append((sweep, gi, pi, "no roots at this grid point"))
-                    continue
-                try:
-                    log_roots = _root_log_moduli(coeffs[lo:hi])
-                except np.linalg.LinAlgError:
-                    result.skipped.append((sweep, gi, pi, "root solver did not converge"))
-                    continue
-                for ri, u in enumerate(log_roots):
-                    logvec = [0.0, 0.0]
-                    logvec[fixed] = t
-                    logvec[free] = u
-                    radius = math.hypot(1.0, *logvec)
-                    if radius == 1.0:
-                        continue  # a log-vector this short is rounding noise
-                    norm = math.hypot(*logvec)
-                    direction = (logvec[0] / norm, logvec[1] / norm)
-                    result.points.append(SamplePoint(direction, radius, sweep, gi, pi, ri))
+                planned.append((gi, pi, t, _plan_clusters(coeffs[lo:hi]) if hi - lo > 1 else None))
+        solved = iter(_solve_clusters([c[3] for _, _, _, clusters in planned if clusters for c in clusters]))
+        planned.reverse()
+        while planned:
+            gi, pi, t, clusters = planned.pop()  # dropped once its points are out
+            if clusters is None:
+                result.skipped.append((sweep, gi, pi, "no roots at this grid point"))
+                continue
+            log_roots = _log_moduli(clusters, [next(solved) for _ in clusters])
+            if log_roots is None:
+                result.skipped.append((sweep, gi, pi, "root solver did not converge"))
+                continue
+            for ri, u in enumerate(log_roots):
+                logvec = [0.0, 0.0]
+                logvec[fixed] = t
+                logvec[free] = u
+                radius = math.hypot(1.0, *logvec)
+                if radius == 1.0:
+                    continue  # a log-vector this short is rounding noise
+                norm = math.hypot(*logvec)
+                direction = (logvec[0] / norm, logvec[1] / norm)
+                result.points.append(SamplePoint(direction, radius, sweep, gi, pi, ri))
     return result
 
 

@@ -388,11 +388,17 @@ class TestFarkasLoop:
         rng = random.Random(1313)
         systems = [_random_cone(rng) for _ in range(600)] + [_pair_cone_sample(rng) for _ in range(150)]
         rounds: dict[tuple[int, bool], int] = {}
+        independent = 0
         for s in systems:
             solves.clear()
             info = exactgeom._analyze.__wrapped__(s)
             dim, vanishing = analyze_per_candidate(s)
             assert info.dimension == dim, s
+            # linearly independent rows cannot balance: no LP is solved
+            rows = info.projected_rows
+            if rows and exact_rank(rows) == len(rows):
+                assert not solves, s
+                independent += 1
             key = (min(sum(solves), 2), dim > 0)
             rounds[key] = rounds.get(key, 0) + 1
             p = info.interior
@@ -407,6 +413,7 @@ class TestFarkasLoop:
         # zero cones that the first combination does not settle
         assert rounds[2, True] >= 10 and rounds[2, False] >= 5, rounds
         assert rounds[0, True] >= 100 and rounds[1, True] >= 50 and rounds[1, False] >= 50, rounds
+        assert independent >= 100, independent
 
     def test_infeasible_strict_lp_gives_a_farkas_certificate(self):
         rng = random.Random(4242)

@@ -5,7 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import mp_sample_loglim, primitive_vectors_py, random_laurent
+from conftest import (
+    _np_roots_log_moduli,
+    mp_sample_loglim,
+    np_roots_sample_loglim,
+    primitive_vectors_py,
+    random_laurent,
+)
 from loglimset import loglim
 from loglimset.exactgeom import LinearSystem
 from loglimset.laurent import LaurentPolynomial, parse
@@ -224,7 +230,7 @@ class TestSampling:
         def no_convergence(coeffs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(loglim.np, "roots", no_convergence)
+        monkeypatch.setattr(loglim.np.linalg, "eigvals", no_convergence)
         f = parse("y^2+x", ("x", "y"))
         result = sample_loglim(f, SampleParams(grid=4, phases=2, seed=0))
         # fixing x leaves a quadratic in y, which needs the solver; fixing y
@@ -234,12 +240,119 @@ class TestSampling:
         ]
         assert len(result.points) == 4 * 2 and {p.sweep for p in result.points} == {1}
 
+    def test_one_failing_matrix_skips_only_its_grid_point(self, monkeypatch):
+        f = parse("y^2+x", ("x", "y"))
+        params = SampleParams(grid=4, phases=2, seed=0)
+        clean = sample_loglim(f, params)
+        eigvals = np.linalg.eigvals
+        stacks = []
+
+        def one_fails(a):
+            # a stack fails when it holds the third matrix of the first stack
+            if a.ndim == 3 and not stacks:
+                stacks.append(a[2].copy())
+            if any(np.array_equal(m, stacks[0]) for m in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(loglim.np.linalg, "eigvals", one_fails)
+        result = sample_loglim(f, params)
+        # the third quadratic of the sweep fixing x is grid point 1, phase 0
+        assert result.skipped == [(0, 1, 0, "root solver did not converge")]
+        assert result.points == [p for p in clean.points if (p.sweep, p.grid_index, p.phase_index) != (0, 1, 0)]
+        assert len(result.points) == len(clean.points) - 2
+
     def test_huge_magnitudes_are_accepted_as_strings(self):
         f = parse("x*y-1", ("x", "y"))
         result = sample_loglim(
             f, SampleParams(rho_min="1e-500", rho_max="1e500", grid=6, phases=1, seed=0)
         )
         assert max(p.radius for p in result.points) > 1000
+
+
+class _ZeroPhases(random.Random):
+    """A phase stream that always draws 0, so grid points lie on the positive axis."""
+
+    def uniform(self, a, b):
+        return a
+
+
+class TestStackedSolve:
+    """The stacked solve against the sampler with one ``np.roots`` call per
+    cluster, kept in conftest: whole results must be equal, bit for bit."""
+
+    @staticmethod
+    def assert_identical(f, params):
+        ours = sample_loglim(f, params)
+        reference = np_roots_sample_loglim(f, params)
+        assert ours == reference
+        assert csv_lines(ours.points) == csv_lines(reference.points)
+        return ours
+
+    @pytest.mark.parametrize("bounds", [("1e-10000", "1e10000"), ("1e-300", "1e300"), ("1e-6", "1e6")])
+    @pytest.mark.parametrize(
+        "text, variables",
+        [
+            ("x+y+1", ("x", "y")),
+            # binomials: one sweep is constant in its free variable
+            ("3*x^3-5", ("x", "y")),
+            ("x-1", ("x", "y")),
+            ("2*x^7*y^2-3", ("x", "y")),
+            # lacunary: the trefoil and a (3,5) torus knot
+            ("(l-1)*(l*m^6+1)", ("m", "l")),
+            ("(l-1)*(l*m^15+1)*(l*m^15-1)", ("m", "l")),
+            # root moduli |x|, 2|x|, 3|x|, 5|x|: clusters that nearly touch
+            ("(y-x)*(y-2*x)*(y+3*x)*(y-5*x)", ("x", "y")),
+            # nine unit roots beside one root |x| beyond the cluster window
+            ("(y^9-1)*(y-x)", ("x", "y")),
+        ],
+    )
+    def test_curves(self, text, variables, bounds):
+        result = self.assert_identical(parse(text, variables), SampleParams(*bounds, 30, 3, 11))
+        assert result.points
+
+    def test_seeded_random_curves(self):
+        rng = random.Random(2024)
+        sampled = 0
+        for i in range(40):
+            f = random_laurent(rng, ("x", "y"), max_terms=6, exp_lo=-5, exp_hi=5)
+            bounds = ("1e-300", "1e300") if i % 2 else ("1e-10000", "1e10000")
+            params = SampleParams(*bounds, 16, 2, i)
+            try:
+                self.assert_identical(f, params)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    np_roots_sample_loglim(f, params)
+                continue
+            sampled += 1
+        assert sampled >= 30
+
+    def test_grid_points_without_roots(self, monkeypatch):
+        # at phase 0 and t = -8.9e-16 (grid index 4), x - 1 and y - y^2
+        # vanish by cancellation and leave a single coefficient
+        monkeypatch.setattr(random, "Random", _ZeroPhases)
+        f = parse("(x-1)*y^2+y", ("x", "y"))
+        result = self.assert_identical(f, SampleParams("1e-300", "1e300", 9, 2, 0))
+        assert result.skipped == [
+            (sweep, 4, pi, "no roots at this grid point") for sweep in (0, 1) for pi in (0, 1)
+        ]
+
+    def test_clusters_bit_for_bit(self):
+        rng = random.Random(5)
+        cases = []
+        for _ in range(200):
+            # root moduli a few tenths of a nat apart: clusters that nearly touch
+            logs = sorted(rng.uniform(-2.0, 2.0) for _ in range(rng.randint(2, 7)))
+            roots = [cmath.rect(math.exp(u), rng.uniform(0.0, 2.0 * math.pi)) for u in logs]
+            cases.append([(math.log(abs(c)), c / abs(c)) for c in np.poly(roots)[::-1]])
+        for far in (10.0, 20.0, 30.0, 39.5, 60.0, 1000.0):
+            # (w^9 - 1)(w - e^far), on both sides of the cluster window
+            coeffs = [None] * 11
+            coeffs[0], coeffs[1] = (far, 1 + 0j), (0.0, -1 + 0j)
+            coeffs[9], coeffs[10] = (far, -1 + 0j), (0.0, 1 + 0j)
+            cases.append(coeffs)
+        for coeffs in cases:
+            assert loglim._root_log_moduli(coeffs) == _np_roots_log_moduli(coeffs)
 
 
 class TestClusters:
