@@ -10,19 +10,21 @@ the true set quantifies over every element of the ideal.
 for curves in two variables: points of the variety are sampled along
 log-spaced magnitude grids, their coordinate-log vectors are normalised, and
 the resulting directions accumulate on the limit set as the radius grows.
-The roots come in magnitude clusters, one per Newton-polygon segment, and
-each sweep solves all its clusters of one size in one stacked eigenvalue
-call.
+Each sweep runs as numpy arrays over all its grid points.  The roots come in
+magnitude clusters, one per Newton-polygon segment; all clusters of one size
+are solved in one stacked eigenvalue call, and every root is then polished
+by one Newton step on its grid point's full polynomial.  The output is
+byte-stable on one host, but its floats may differ in their last bits
+across CPUs, because numpy dispatches ``exp`` and ``log`` by CPU.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, InvalidOperation
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,11 +35,19 @@ DEFAULT_ACCUMULATION_RADIUS = math.exp(10.0)
 
 _LN_CONTEXT = Context(prec=30)  # not the caller's thread-local decimal context
 _CANCELLED = 2.0**-43  # a coefficient this small relative to its terms' moduli is zero
-# Coefficients this many nats below a cluster's largest are dropped.  Dropping
-# moves the cluster's roots by up to e^-W relative; a root up to e^W away that
-# stays in the same companion matrix costs up to 2^-53 * e^W.  At 24 the
-# measured error in log|root| stays below 2e-9; at 40 a cluster can be lost.
+# Coefficients this many nats below a cluster's largest are dropped from its
+# companion matrix.  Dropping moves the cluster's roots by up to e^-W
+# relative, and a root up to e^W away that stays in the same matrix costs up
+# to 2^-53 * e^W; the Newton step on the full polynomial (_newton_step)
+# removes both errors.  At 40 a cluster can be lost.
 _CLUSTER_WINDOW = 24.0
+# A Newton step that moves a root by more than this, relative to its size,
+# is not trusted, and the eigenvalue root is kept.
+_POLISH_LIMIT = 2.0**-10
+# Grid points solved together: larger blocks save little time and cost
+# memory that the process keeps.
+_BLOCK = 512
+_SKIP_REASONS = ("", "no roots at this grid point", "root solver did not converge")
 
 
 def loglim_outer(generators: Sequence[LaurentPolynomial]) -> SphericalComplex:
@@ -114,9 +124,49 @@ class SamplePoint:
     root_index: int
 
 
+class SamplePoints(Sequence[SamplePoint]):
+    """Sample points stored as columns: ``radius`` (n,), ``direction``
+    (n, 2) and ``keys`` (n, 4), whose rows are (sweep, grid index, phase
+    index, root index).  Indexing and iteration build :class:`SamplePoint`
+    objects on demand; equality is that of the point lists."""
+
+    def __init__(self, radius: np.ndarray, direction: np.ndarray, keys: np.ndarray):
+        self.radius, self.direction, self.keys = radius, direction, keys
+
+    @classmethod
+    def of(cls, points: Iterable[SamplePoint]) -> SamplePoints:
+        if isinstance(points, SamplePoints):
+            return points
+        points = list(points)
+        return cls(
+            np.array([p.radius for p in points], dtype=float),
+            np.array([p.direction for p in points], dtype=float).reshape(-1, 2),
+            np.array(
+                [(p.sweep, p.grid_index, p.phase_index, p.root_index) for p in points], dtype=np.int64
+            ).reshape(-1, 4),
+        )
+
+    def __len__(self) -> int:
+        return len(self.radius)
+
+    def __getitem__(self, i: int) -> SamplePoint:
+        return SamplePoint(tuple(self.direction[i].tolist()), float(self.radius[i]), *self.keys[i].tolist())
+
+    def __iter__(self) -> Iterator[SamplePoint]:
+        for d, r, k in zip(self.direction.tolist(), self.radius.tolist(), self.keys.tolist()):
+            yield SamplePoint(tuple(d), r, *k)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
 @dataclass
 class SampleResult:
-    points: list[SamplePoint] = field(default_factory=list)
+    points: Sequence[SamplePoint] = field(default_factory=list)
     skipped: list[tuple[int, int, int, str]] = field(default_factory=list)
 
 
@@ -133,119 +183,198 @@ def _log_magnitude(value: str | float) -> float:
     return float(magnitude.ln(_LN_CONTEXT))
 
 
-def _upper_hull(points: list[tuple[int, float]]) -> list[tuple[int, float]]:
-    hull: list[tuple[int, float]] = []
-    for px, py in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1) >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append((px, py))
-    return hull
+def _coefficient_sums(
+    f: LaurentPolynomial, free: int, t: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of ``f`` in the free variable at every grid point.
 
-
-# One root cluster: ``(log_scale, first, stop, desc)``.  Its roots are those of
-# ranks ``first+1 .. stop`` by modulus among the roots of the polynomial with
-# descending coefficients ``desc``, each multiplied by ``e^log_scale``.
-_Cluster = tuple[float, int, int, list[complex]]
-
-
-def _plan_clusters(coeffs: list[tuple[float, complex] | None]) -> list[_Cluster]:
-    """The root clusters of ``sum a_k w^k``, one per Newton-polygon segment.
-
-    ``coeffs[k]`` is ``(log|a_k|, a_k / |a_k|)`` in ascending powers, or
-    ``None`` for a zero coefficient; the first and last are nonzero.  Each
-    segment of the upper Newton polygon of ``(k, log|a_k|)`` holds as many
-    roots as it is wide, of modulus about ``e^-slope`` (Ostrowski).  The
-    polynomial is rescaled so that a segment's roots have unit size, and
-    the coefficients more than ``_CLUSTER_WINDOW`` nats below the largest
-    are dropped; the rest is left to :func:`_solve_clusters`, in doubles.
-    So no magnitude ever leaves double range, however far apart the
-    clusters lie.
+    The fixed variable is ``e^t * e^(i theta)``.  Row ``p`` of both results
+    describes ``sum_k a_k w^k`` at grid point ``p``, where ``k`` counts from
+    the lowest free exponent of ``f``: ``log|a_k|`` (``-inf`` for a zero
+    coefficient) and ``a_k / |a_k|`` (0 there).  Each coefficient sums its
+    terms relative to the largest of them, and a sum that is this small
+    against their moduli (``_CANCELLED``) has vanished by cancellation.
     """
-    points = [(k, c[0]) for k, c in enumerate(coeffs) if c is not None]
-    clusters: list[_Cluster] = []
-    hull = _upper_hull(points)
-    for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
-        log_scale = (v1 - v2) / (k2 - k1)
-        scaled = [(k, v + k * log_scale) for k, v in points]
-        top = max(v for _, v in scaled)
-        kept = [(k, v) for k, v in scaled if v >= top - _CLUSTER_WINDOW]
-        k_lo, k_hi = kept[0][0], kept[-1][0]
-        desc = [0j] * (k_hi - k_lo + 1)
-        for k, v in kept:
-            desc[k_hi - k] = math.exp(v - top) * coeffs[k][1]
-        # the window keeps the roots of ranks k_lo+1 .. k_hi; this segment's
-        # are ranks k1+1 .. k2, which stays right when clusters nearly touch
-        clusters.append((log_scale, k1 - k_lo, k2 - k_lo, desc))
-    return clusters
+    items = sorted(f.items(), key=lambda item: item[0][free])
+    e_free = np.array([e[free] for e, _ in items])
+    e_fixed = np.array([e[1 - free] for e, _ in items])[:, None]
+    log_abs = np.array([math.log(abs(c.numerator)) - math.log(c.denominator) for _, c in items])
+    sign = np.array([1.0 if c > 0 else -1.0 for _, c in items])[:, None]
+    starts = np.flatnonzero(np.diff(e_free, prepend=e_free[0] - 1))
+    # term j as log-modulus plus phase, then relative to its coefficient's top
+    v = log_abs[:, None] + e_fixed * t
+    top = np.maximum.reduceat(v, starts)
+    modulus = np.exp(v - np.repeat(top, np.diff(starts, append=len(items)), axis=0))
+    acc = np.add.reduceat(sign * modulus * np.exp(1j * (e_fixed * theta)), starts)
+    size = np.abs(acc)
+    alive = size > np.add.reduceat(modulus, starts) * _CANCELLED
+    k = e_free[starts] - e_free[0]
+    log_mod = np.full((len(t), e_free[-1] - e_free[0] + 1), -np.inf)
+    phase = np.zeros(log_mod.shape, dtype=complex)
+    log_mod[:, k] = (top + np.log(size, out=np.full_like(size, -np.inf), where=alive)).T
+    phase[:, k] = np.divide(acc, size, out=np.zeros_like(acc), where=alive).T
+    return log_mod, phase
 
 
-def _solve_clusters(descs: list[list[complex]]) -> list[list[complex] | None]:
-    """Roots of each polynomial (descending coefficients, both ends nonzero),
-    or None where the eigenvalue solver fails.
+def _newton_segments(log_mod: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The segments ``(row, k1, k2)`` of every row's upper Newton polygon of
+    the points ``(k, log_mod[row, k])`` with finite ``log_mod``, row by row
+    and left to right.
 
-    Polynomials of one length are solved together: a linear one in closed
-    form, the others as one stack of companion matrices, built as
-    ``np.roots`` builds them (Edelman and Murakami, *Polynomial roots from
-    companion matrix eigenvalues*, 1995), in one ``np.linalg.eigvals``
-    call, so the roots are bitwise those of ``np.roots``.  A stack whose
-    solve fails is solved again one matrix at a time.
+    The rows run Andrew's monotone chain in step: a point that lies on or
+    below the chord of the last two hull points pops the last one, so
+    collinear points never split a segment.
     """
-    by_length: dict[int, list[int]] = {}
-    for i, desc in enumerate(descs):
-        by_length.setdefault(len(desc), []).append(i)
-    roots: list[list[complex] | None] = [None] * len(descs)
-    for n, members in by_length.items():
-        p = np.array([descs[i] for i in members], dtype=complex)
-        if n == 2:
-            solved = (-p[:, 1:] / p[:, :1]).tolist()
-        else:
-            companion = np.zeros((len(members), n - 1, n - 1), dtype=complex)
-            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-            below = np.arange(n - 2)
-            companion[:, below + 1, below] = 1
-            try:
-                solved = np.linalg.eigvals(companion).tolist()
-            except np.linalg.LinAlgError:
-                solved = [_eigvals_or_none(matrix) for matrix in companion]
-        for i, r in zip(members, solved):
-            roots[i] = r
-    return roots
+    rows, width = log_mod.shape
+    hull = np.zeros((rows, width), dtype=np.int64)
+    depth = np.zeros(rows, dtype=np.int64)
+    for k in range(width):
+        here = np.flatnonzero(np.isfinite(log_mod[:, k]))
+        active = here
+        while active.size:
+            active = active[depth[active] >= 2]
+            x1 = hull[active, depth[active] - 2]
+            x2 = hull[active, depth[active] - 1]
+            y1 = log_mod[active, x1]
+            y2 = log_mod[active, x2]
+            turn = (x2 - x1) * (log_mod[active, k] - y1) - (y2 - y1) * (k - x1) >= 0
+            active = active[turn]
+            depth[active] -= 1
+        hull[here, depth[here]] = k
+        depth[here] += 1
+    row, j = np.nonzero(np.arange(width - 1) < (depth - 1)[:, None])
+    return row, hull[row, j], hull[row, j + 1]
 
 
-def _eigvals_or_none(matrix: np.ndarray) -> list[complex] | None:
+def _eigenvalues(desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of each row's polynomial (descending coefficients, both ends
+    nonzero), and whether its solve succeeded.
+
+    A linear polynomial is solved in closed form, the others as one stack of
+    companion matrices, built as ``np.roots`` builds them (Edelman and
+    Murakami, *Polynomial roots from companion matrix eigenvalues*, 1995),
+    in one ``np.linalg.eigvals`` call.  A stack whose solve fails is solved
+    again one matrix at a time.
+    """
+    count, n = desc.shape
+    ok = np.ones(count, dtype=bool)
+    if n == 2:
+        return -desc[:, 1:] / desc[:, :1], ok
+    companion = np.zeros((count, n - 1, n - 1), dtype=complex)
+    companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+    below = np.arange(n - 2)
+    companion[:, below + 1, below] = 1
     try:
-        return np.linalg.eigvals(matrix).tolist()
+        return np.linalg.eigvals(companion), ok
     except np.linalg.LinAlgError:
-        return None
+        roots = np.ones((count, n - 1), dtype=complex)
+        for i, matrix in enumerate(companion):
+            try:
+                roots[i] = np.linalg.eigvals(matrix)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return roots, ok
 
 
-def _log_moduli(clusters: list[_Cluster], solved: Iterable[list[complex] | None]) -> list[float] | None:
-    """``log|w|`` of each cluster's roots from its solved polynomial; None
-    if the solver failed on any cluster."""
-    result: list[float] = []
-    for (log_scale, first, stop, _), roots in zip(clusters, solved):
-        if roots is None:
-            return None
-        # scalar math.log(abs(w)) per root: numpy's vectorised abs rounds differently
-        logs = sorted(math.log(abs(w)) for w in roots if w != 0)
-        chosen = sorted(logs[first:stop], key=abs)
-        result.extend(u + log_scale for u in chosen)
-    return result
+def _newton_step(
+    log_mod: np.ndarray, phase: np.ndarray, owner: np.ndarray, logs: np.ndarray, unit: np.ndarray
+) -> np.ndarray:
+    """``log|w|`` after one Newton step from each root ``w = e^logs * unit``
+    of the polynomial in row ``owner`` (rows as :func:`_coefficient_sums`
+    gives them, with powers counted from the row's first nonzero
+    coefficient).
+
+    The step is ``w - p/p' = w (1 - delta)`` with ``delta = p(w) / (w p'(w))``,
+    so ``log|w|`` grows by ``log|1 - delta|``; the terms ``a_k w^k`` are
+    divided by the largest before they are summed, so nothing overflows.  A
+    step that is not finite, as where ``p'(w)`` vanishes, or larger than
+    ``_POLISH_LIMIT`` keeps the root.  The sums run one power at a time,
+    so no array is larger than one value per root.
+    """
+    first = np.argmax(np.isfinite(log_mod), axis=1)[owner]
+    top = np.full(len(logs), -np.inf)
+    for k in range(log_mod.shape[1]):
+        np.maximum(top, log_mod[owner, k] + (k - first) * logs, out=top)
+    value = np.zeros(len(logs), dtype=complex)
+    slope = np.zeros(len(logs), dtype=complex)
+    for k in range(log_mod.shape[1]):
+        power = k - first
+        term = np.exp(log_mod[owner, k] + power * logs - top) * phase[owner, k] * unit**power
+        value += term
+        slope += power * term
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = value / slope
+        step = np.log(np.abs(1.0 - delta))
+    good = np.isfinite(delta) & (np.abs(delta) <= _POLISH_LIMIT)
+    return np.where(good, logs + step, logs)
 
 
-def _root_log_moduli(coeffs: list[tuple[float, complex] | None]) -> list[float]:
-    """``log|w|`` of the roots of ``sum a_k w^k`` (coefficients as in
-    :func:`_plan_clusters`), cluster by cluster; raises ``LinAlgError``
-    when the root solver fails."""
-    clusters = _plan_clusters(coeffs)
-    logs = _log_moduli(clusters, _solve_clusters([c[3] for c in clusters]))
-    if logs is None:
-        raise np.linalg.LinAlgError("root solver did not converge")
-    return logs
+def _root_logs(log_mod: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``log|w|`` of the nonzero roots of every row's polynomial.
+
+    Rows are as :func:`_coefficient_sums` gives them, each with at least two
+    nonzero coefficients.  Each segment of a row's upper Newton polygon of
+    ``(k, log|a_k|)`` holds as many roots as it is wide, of modulus about
+    ``e^-slope`` (Ostrowski).  The polynomial is rescaled so that a
+    segment's roots have unit size, the coefficients more than
+    ``_CLUSTER_WINDOW`` nats below the largest are dropped, and the rest is
+    solved in doubles (:func:`_eigenvalues`); the window keeps the roots of
+    ranks ``k_lo+1 .. k_hi`` by modulus, of which the segment's are ranks
+    ``k1+1 .. k2``, which stays right when clusters nearly touch.  Each root
+    then gets one Newton step (:func:`_newton_step`).  So no magnitude ever
+    leaves double range, however far apart the clusters lie.
+
+    Returns ``(owner, logs, failed)``: the roots row by row, cluster by
+    cluster and within a cluster by ``|log|w||`` before the Newton step,
+    with their rows in ``owner``; and the rows whose solve failed, which
+    have no roots in the output.
+    """
+    width = log_mod.shape[1]
+    seg_row, k1, k2 = _newton_segments(log_mod)
+    seg = np.arange(len(seg_row))
+    v = log_mod[seg_row]
+    log_scale = (v[seg, k1] - v[seg, k2]) / (k2 - k1)
+    first_nonzero = np.argmax(np.isfinite(v), axis=1)
+    scaled = v + (np.arange(width) - first_nonzero[:, None]) * log_scale[:, None]
+    top = scaled.max(axis=1)
+    kept = scaled >= (top - _CLUSTER_WINDOW)[:, None]
+    k_lo = np.argmax(kept, axis=1)
+    k_hi = width - 1 - np.argmax(kept[:, ::-1], axis=1)
+    coeff = np.where(kept, np.exp(scaled - top[:, None]) * phase[seg_row], 0)
+    seg_failed = np.zeros(len(seg), dtype=bool)
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=complex))]
+    for degree in np.unique(k_hi - k_lo).tolist():
+        members = np.flatnonzero(k_hi - k_lo == degree)
+        desc = coeff[members[:, None], k_hi[members, None] - np.arange(degree + 1)]
+        roots, ok = _eigenvalues(desc)
+        seg_failed[members[~ok]] = True
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(roots))  # a zero root gives -inf and ranks first
+        order = np.argsort(logs, axis=1, kind="stable")
+        logs = np.take_along_axis(logs, order, axis=1)
+        roots = np.take_along_axis(roots, order, axis=1)
+        rank = np.arange(degree) - np.count_nonzero(roots == 0, axis=1)[:, None]
+        chosen = ok[:, None] & (rank >= (k1 - k_lo)[members, None]) & (rank < (k2 - k_lo)[members, None])
+        order = np.argsort(np.where(chosen, np.abs(logs), np.inf), axis=1, kind="stable")
+        count = np.count_nonzero(chosen, axis=1)
+        taken = np.arange(degree) < count[:, None]
+        parts.append(
+            (
+                np.repeat(members, count),
+                np.take_along_axis(logs, order, axis=1)[taken],
+                np.take_along_axis(roots, order, axis=1)[taken],
+            )
+        )
+    root_seg, logs, roots = (np.concatenate(column) for column in zip(*parts))
+    failed = np.zeros(len(log_mod), dtype=bool)
+    failed[seg_row[seg_failed]] = True
+    # segments are numbered row by row, left to right
+    order = np.argsort(root_seg, kind="stable")
+    order = order[~failed[seg_row[root_seg[order]]]]
+    root_seg, logs, roots = root_seg[order], logs[order], roots[order]
+    owner = seg_row[root_seg]
+    logs = logs + log_scale[root_seg]
+    return owner, _newton_step(log_mod, phase, owner, logs, roots / np.abs(roots)), failed
 
 
 def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
@@ -261,9 +390,9 @@ def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
     Everything is computed in log-polar doubles: a term ``c * x^e`` is the
     log-modulus ``log|c| + e*log(rho)`` with the phase ``arg c + e*theta``,
     and only ``log|root|`` reaches the output, so magnitudes like e^23000
-    never exist as numbers.  A sweep first plans the root clusters of every
-    grid point (:func:`_plan_clusters`), then solves them all at once
-    (:func:`_solve_clusters`), then emits its points.
+    never exist as numbers.  A sweep computes the coefficients of all its
+    grid points at once (:func:`_coefficient_sums`), then their roots
+    (:func:`_root_logs`), then its points, each step as arrays.
     """
     if len(f.variables) != 2:
         raise ValueError("sampling is implemented for two variables only")
@@ -276,84 +405,65 @@ def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
         raise ValueError("polynomial is constant in both variables; nothing to sample")
 
     rng = random.Random(params.seed)
-    result = SampleResult()
     log_lo, log_hi = params.log_bounds
     step = (log_hi - log_lo) / (params.grid - 1)
+    # grid point p is magnitude p // phases and phase p % phases
+    t = np.repeat(log_lo + step * np.arange(params.grid), params.phases)
+    skipped: list[tuple[int, int, int, str]] = []
+    columns = [(np.zeros(0), np.zeros((0, 2)), np.zeros((0, 4), dtype=np.int64))]
     for sweep in (0, 1):
         fixed, free = sweep, 1 - sweep
-        # exponent of the free variable -> list of (fixed exponent, log|c|, sign c)
-        groups: dict[int, list[tuple[int, float, int]]] = {}
-        for exps, coeff in f.items():
-            log_abs = math.log(abs(coeff.numerator)) - math.log(coeff.denominator)
-            groups.setdefault(exps[free], []).append((exps[fixed], log_abs, 1 if coeff > 0 else -1))
-        emax, emin = max(groups), min(groups)
-        if emax == emin:
-            # keep the phase stream aligned so the other sweep draws the
-            # same angles whether or not this one was degenerate
-            for gi in range(params.grid):
-                for pi in range(params.phases):
-                    rng.uniform(0.0, 2.0 * math.pi)
-                    result.skipped.append((sweep, gi, pi, "constant in the free variable"))
+        # both sweeps draw every angle, so each draws the same ones whether
+        # or not the other was degenerate
+        theta = np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(len(t))])
+        if degree_spread[free] == 0:
+            skipped.extend(
+                (sweep, gi, pi, "constant in the free variable")
+                for gi in range(params.grid)
+                for pi in range(params.phases)
+            )
             continue
-        # (grid index, phase, t, clusters), clusters None without roots
-        planned: list[tuple[int, int, float, list[_Cluster] | None]] = []
-        for gi in range(params.grid):
-            t = log_lo + step * gi
-            for pi in range(params.phases):
-                theta = rng.uniform(0.0, 2.0 * math.pi)
-                # coefficient of each power of the free variable, ascending:
-                # the terms are summed relative to the largest of them
-                coeffs: list[tuple[float, complex] | None] = []
-                for e_free in range(emin, emax + 1):
-                    terms = [(lc + e * t, sign, e) for e, lc, sign in groups.get(e_free, ())]
-                    top = max((v for v, _, _ in terms), default=0.0)
-                    acc = 0j
-                    scale = 0.0
-                    for v, sign, e in terms:
-                        modulus = math.exp(v - top)
-                        acc += sign * modulus * cmath.exp(1j * e * theta)
-                        scale += modulus
-                    # a sum this small has vanished by cancellation
-                    if abs(acc) <= scale * _CANCELLED:
-                        coeffs.append(None)
-                    else:
-                        coeffs.append((top + math.log(abs(acc)), acc / abs(acc)))
-                lo = 0
-                hi = len(coeffs)
-                while lo < hi and coeffs[lo] is None:
-                    lo += 1
-                while hi > lo and coeffs[hi - 1] is None:
-                    hi -= 1
-                planned.append((gi, pi, t, _plan_clusters(coeffs[lo:hi]) if hi - lo > 1 else None))
-        solved = iter(_solve_clusters([c[3] for _, _, _, clusters in planned if clusters for c in clusters]))
-        planned.reverse()
-        while planned:
-            gi, pi, t, clusters = planned.pop()  # dropped once its points are out
-            if clusters is None:
-                result.skipped.append((sweep, gi, pi, "no roots at this grid point"))
-                continue
-            log_roots = _log_moduli(clusters, [next(solved) for _ in clusters])
-            if log_roots is None:
-                result.skipped.append((sweep, gi, pi, "root solver did not converge"))
-                continue
-            for ri, u in enumerate(log_roots):
-                logvec = [0.0, 0.0]
-                logvec[fixed] = t
-                logvec[free] = u
-                radius = math.hypot(1.0, *logvec)
-                if radius == 1.0:
-                    continue  # a log-vector this short is rounding noise
-                norm = math.hypot(*logvec)
-                direction = (logvec[0] / norm, logvec[1] / norm)
-                result.points.append(SamplePoint(direction, radius, sweep, gi, pi, ri))
-    return result
+        for start in range(0, len(t), _BLOCK):
+            block = np.arange(start, min(start + _BLOCK, len(t)))
+            log_mod, phase = _coefficient_sums(f, free, t[block], theta[block])
+            reason = np.zeros(len(block), dtype=np.int64)
+            solvable = np.count_nonzero(np.isfinite(log_mod), axis=1) >= 2
+            reason[~solvable] = 1
+            rows = np.flatnonzero(solvable)
+            owner, logs, failed = _root_logs(log_mod[rows], phase[rows])
+            reason[rows[failed]] = 2
+            skipped.extend(
+                (sweep, p // params.phases, p % params.phases, _SKIP_REASONS[r])
+                for p, r in zip(block.tolist(), reason.tolist())
+                if r
+            )
+            # the root index counts every root of its grid point, kept or not
+            root = np.arange(len(owner)) - np.searchsorted(owner, owner)
+            point = block[rows[owner]]
+            logvec = np.empty((len(point), 2))
+            logvec[:, fixed] = t[point]
+            logvec[:, free] = logs
+            norm = np.hypot(logvec[:, 0], logvec[:, 1])
+            radius = np.hypot(1.0, norm)
+            keep = radius != 1.0  # a log-vector this short is rounding noise
+            keys = np.column_stack(
+                [np.full(len(point), sweep), point // params.phases, point % params.phases, root]
+            )
+            columns.append((radius[keep], logvec[keep] / norm[keep, None], keys[keep]))
+    radius, direction, keys = (np.concatenate(column) for column in zip(*columns))
+    return SampleResult(SamplePoints(radius, direction, keys), skipped)
 
 
 def csv_lines(points: Iterable[SamplePoint]) -> list[str]:
     """Rows of ``radius,d1,d2,...`` with full float precision."""
-    return [
-        ",".join([repr(p.radius)] + [repr(c) for c in p.direction]) for p in points
-    ]
+    columns = SamplePoints.of(points)
+    lines: list[str] = []
+    # a block at a time, so the Python floats of only one block exist at once
+    for start in range(0, len(columns), 1024):
+        radius = columns.radius[start : start + 1024].tolist()
+        d1, d2 = columns.direction[start : start + 1024].T.tolist()
+        lines.extend(f"{r!r},{a!r},{b!r}" for r, a, b in zip(radius, d1, d2))
+    return lines
 
 
 def spherical_distance(u: Sequence[float], v: Sequence[float]) -> float:
@@ -391,19 +501,20 @@ def cluster_directions(
     within ``tolerance`` spherical distance of a cluster representative (the
     first member encountered, in deterministic sample order).
     """
-    if not points:
+    columns = SamplePoints.of(points)
+    if not len(columns):
         return []
-    ordered = sorted(points, key=lambda p: (-p.radius, p.sweep, p.grid_index, p.phase_index, p.root_index))
-    keep = max(1, int(len(ordered) * top_fraction))
-    chosen = ordered[:keep]
-    reps: list[tuple[float, float]] = []
-    counts: list[int] = []
-    for p in chosen:
-        for i, rep in enumerate(reps):
-            if spherical_distance(p.direction, rep) <= tolerance:
-                counts[i] += 1
-                break
-        else:
-            reps.append(p.direction)
-            counts.append(1)
-    return list(zip(reps, counts))
+    sweep, grid_index, phase_index, root_index = columns.keys.T
+    ordered = np.lexsort((root_index, phase_index, grid_index, sweep, -columns.radius))
+    chosen = columns.direction[ordered[: max(1, int(len(columns) * top_fraction))]]
+    # a greedy pass in sample order: each point not yet taken founds a
+    # cluster of every untaken point within tolerance of it
+    free = np.ones(len(chosen), dtype=bool)
+    clusters = []
+    while free.any():
+        rep = chosen[np.argmax(free)]
+        dot = chosen[:, 0] * rep[0] + chosen[:, 1] * rep[1]
+        near = free & (np.arccos(np.clip(dot, -1.0, 1.0)) <= tolerance)
+        free &= ~near
+        clusters.append((tuple(rep.tolist()), int(np.count_nonzero(near))))
+    return clusters

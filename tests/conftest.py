@@ -6,7 +6,6 @@ loops, no library internals) so the tests compare two independent routes.
 
 from __future__ import annotations
 
-import cmath
 import importlib.util
 import itertools
 import math
@@ -30,7 +29,6 @@ from loglimset.exactgeom import (
     primitive_vector,
     solve_nonneg,
 )
-from loglimset import loglim
 from loglimset.knots import TorusKnotParams, a_polynomial
 from loglimset.laurent import LaurentPolynomial
 from loglimset.loglim import SampleParams, SamplePoint, SampleResult
@@ -429,7 +427,11 @@ def _mp_roots(coeffs: list) -> list:
     read off the upper Newton polygon of (k, log|a_k|); each cluster is
     rescaled to unit size, solved with the far-away coefficients windowed
     out, and scaled back.  The windowing perturbs each cluster only by a
-    relative e^-20 or less, far below the sampling tolerances.
+    relative e^-20 or less, far below the sampling tolerances.  A segment
+    from k1 to k2 holds the roots of ranks k1+1 .. k2 by modulus, and the
+    window from lo to hi keeps those of ranks lo+1 .. hi; taking the
+    segment's roots by rank stays right when clusters nearly touch, where
+    the roots nearest the segment's scale can belong to its neighbour.
     """
     n = len(coeffs) - 1
     asc = coeffs[::-1]
@@ -441,7 +443,6 @@ def _mp_roots(coeffs: list) -> list:
     hull = _upper_hull(logs)
     for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
         cluster_scale = mp.exp(mp.mpf(v1 - v2) / (k2 - k1))
-        count = k2 - k1
         scaled = [asc[k] * cluster_scale**k for k in range(n + 1)]
         top = max(abs(x) for x in scaled)
         cutoff = top * mp.exp(mp.mpf(-_CLUSTER_WINDOW))
@@ -453,10 +454,21 @@ def _mp_roots(coeffs: list) -> list:
         while scaled[hi] == 0:
             hi -= 1
         w_roots = _closed_or_polyroots(scaled[lo : hi + 1][::-1])
-        w_roots = [w for w in w_roots if w != 0]
-        nearest = sorted(w_roots, key=lambda w: abs(mp.log(abs(w))))[:count]
-        roots.extend(cluster_scale * w for w in nearest)
+        ranked = sorted(w_roots, key=abs)[k1 - lo : k2 - lo]
+        roots.extend(cluster_scale * w for w in ranked)
     return roots
+
+
+def mp_root_log_moduli(coeffs: list) -> list[float]:
+    """Sorted ``log|w|`` of the nonzero roots of ``sum a_k w^k`` in 40-digit
+    mpmath; ``coeffs[k]`` is ``(log|a_k|, a_k / |a_k|)`` in ascending
+    powers, or None for a zero coefficient, as the sampler's solver takes
+    them."""
+    with mp.workdps(40):
+        desc = [mp.mpc(0) if c is None else mp.exp(mp.mpf(c[0])) * mp.mpc(c[1]) for c in reversed(coeffs)]
+        top = max(abs(c) for c in desc)
+        roots = _mp_roots([c / top for c in desc])
+        return sorted(float(mp.log(abs(w))) for w in roots if w != 0)
 
 
 def mp_sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
@@ -559,141 +571,4 @@ def mp_sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult
                         result.points.append(
                             SamplePoint(direction, radius, sweep, gi, pi, ri)
                         )
-    return result
-
-
-# ----------------------------------------------------------------------
-# the log-polar double sampler with one np.roots call per root cluster
-
-_NP_CLUSTER_WINDOW = loglim._CLUSTER_WINDOW
-_NP_CANCELLED = loglim._CANCELLED
-
-
-def _np_roots_log_moduli(coeffs: list[tuple[float, complex] | None]) -> list[float]:
-    """``log|w|`` of the roots of ``sum a_k w^k``, cluster by cluster.
-
-    ``coeffs[k]`` is ``(log|a_k|, a_k / |a_k|)`` in ascending powers, or
-    ``None`` for a zero coefficient; the first and last are nonzero.  Each
-    segment of the upper Newton polygon of ``(k, log|a_k|)`` holds as many
-    roots as it is wide, of modulus about ``e^-slope`` (Ostrowski).  The
-    polynomial is rescaled so that a segment's roots have unit size, the
-    coefficients more than ``_NP_CLUSTER_WINDOW`` nats below the largest are
-    dropped, and the rest is solved in doubles.  So no magnitude ever
-    leaves double range, however far apart the clusters lie.
-    """
-    points = [(k, c[0]) for k, c in enumerate(coeffs) if c is not None]
-    result: list[float] = []
-    hull = _upper_hull(points)
-    for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
-        log_scale = (v1 - v2) / (k2 - k1)
-        scaled = [(k, v + k * log_scale) for k, v in points]
-        top = max(v for _, v in scaled)
-        kept = [(k, v) for k, v in scaled if v >= top - _NP_CLUSTER_WINDOW]
-        k_lo, k_hi = kept[0][0], kept[-1][0]
-        desc = np.zeros(k_hi - k_lo + 1, dtype=complex)
-        for k, v in kept:
-            desc[k_hi - k] = math.exp(v - top) * coeffs[k][1]
-        roots = [-desc[1] / desc[0]] if len(desc) == 2 else np.roots(desc)
-        # the window keeps the roots of ranks k_lo+1 .. k_hi; this segment's
-        # are ranks k1+1 .. k2, which stays right when clusters nearly touch
-        logs = sorted(math.log(abs(w)) for w in roots if w != 0)
-        chosen = sorted(logs[k1 - k_lo : k2 - k_lo], key=abs)
-        result.extend(u + log_scale for u in chosen)
-    return result
-
-
-def np_roots_sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
-    """Sample the plane curve f = 0 and return normalised log-vectors.
-
-    The log-polar double sampler as it was with one ``np.roots`` call per
-    root cluster, kept as the byte-identity reference for the stacked
-    solve of ``loglim.sample_loglim``.
-
-    For each magnitude rho on the grid and each random phase theta, one
-    coordinate is fixed to ``rho * exp(i theta)`` and the polynomial is
-    solved for the nonzero roots of the other; the sweep is then repeated
-    with the coordinate roles exchanged.  Grid points where the remaining
-    polynomial is constant, or where the root solver fails, are skipped and
-    recorded.  Output order is fixed by (sweep, grid index, phase, root).
-
-    Everything is computed in log-polar doubles: a term ``c * x^e`` is the
-    log-modulus ``log|c| + e*log(rho)`` with the phase ``arg c + e*theta``,
-    and only ``log|root|`` reaches the output, so magnitudes like e^23000
-    never exist as numbers.
-    """
-    if len(f.variables) != 2:
-        raise ValueError("sampling is implemented for two variables only")
-    if f.is_zero():
-        raise ValueError("cannot sample the zero polynomial")
-    degree_spread = [
-        max(e[i] for e in f.support()) - min(e[i] for e in f.support()) for i in (0, 1)
-    ]
-    if degree_spread[0] == 0 and degree_spread[1] == 0:
-        raise ValueError("polynomial is constant in both variables; nothing to sample")
-
-    rng = random.Random(params.seed)
-    result = SampleResult()
-    log_lo, log_hi = params.log_bounds
-    step = (log_hi - log_lo) / (params.grid - 1)
-    for sweep in (0, 1):
-        fixed, free = sweep, 1 - sweep
-        # exponent of the free variable -> list of (fixed exponent, log|c|, sign c)
-        groups: dict[int, list[tuple[int, float, int]]] = {}
-        for exps, coeff in f.items():
-            log_abs = math.log(abs(coeff.numerator)) - math.log(coeff.denominator)
-            groups.setdefault(exps[free], []).append((exps[fixed], log_abs, 1 if coeff > 0 else -1))
-        emax, emin = max(groups), min(groups)
-        if emax == emin:
-            # keep the phase stream aligned so the other sweep draws the
-            # same angles whether or not this one was degenerate
-            for gi in range(params.grid):
-                for pi in range(params.phases):
-                    rng.uniform(0.0, 2.0 * math.pi)
-                    result.skipped.append((sweep, gi, pi, "constant in the free variable"))
-            continue
-        for gi in range(params.grid):
-            t = log_lo + step * gi
-            for pi in range(params.phases):
-                theta = rng.uniform(0.0, 2.0 * math.pi)
-                # coefficient of each power of the free variable, ascending:
-                # the terms are summed relative to the largest of them
-                coeffs: list[tuple[float, complex] | None] = []
-                for e_free in range(emin, emax + 1):
-                    terms = [(lc + e * t, sign, e) for e, lc, sign in groups.get(e_free, ())]
-                    top = max((v for v, _, _ in terms), default=0.0)
-                    acc = 0j
-                    scale = 0.0
-                    for v, sign, e in terms:
-                        modulus = math.exp(v - top)
-                        acc += sign * modulus * cmath.exp(1j * e * theta)
-                        scale += modulus
-                    # a sum this small has vanished by cancellation
-                    if abs(acc) <= scale * _NP_CANCELLED:
-                        coeffs.append(None)
-                    else:
-                        coeffs.append((top + math.log(abs(acc)), acc / abs(acc)))
-                lo = 0
-                hi = len(coeffs)
-                while lo < hi and coeffs[lo] is None:
-                    lo += 1
-                while hi > lo and coeffs[hi - 1] is None:
-                    hi -= 1
-                if hi - lo <= 1:
-                    result.skipped.append((sweep, gi, pi, "no roots at this grid point"))
-                    continue
-                try:
-                    log_roots = _np_roots_log_moduli(coeffs[lo:hi])
-                except np.linalg.LinAlgError:
-                    result.skipped.append((sweep, gi, pi, "root solver did not converge"))
-                    continue
-                for ri, u in enumerate(log_roots):
-                    logvec = [0.0, 0.0]
-                    logvec[fixed] = t
-                    logvec[free] = u
-                    radius = math.hypot(1.0, *logvec)
-                    if radius == 1.0:
-                        continue  # a log-vector this short is rounding noise
-                    norm = math.hypot(*logvec)
-                    direction = (logvec[0] / norm, logvec[1] / norm)
-                    result.points.append(SamplePoint(direction, radius, sweep, gi, pi, ri))
     return result

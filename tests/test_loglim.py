@@ -1,18 +1,14 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from conftest import (
-    _np_roots_log_moduli,
-    mp_sample_loglim,
-    np_roots_sample_loglim,
-    primitive_vectors_py,
-    random_laurent,
-)
-from loglimset import loglim
+from conftest import mp_root_log_moduli, mp_sample_loglim, primitive_vectors_py, random_laurent
+from loglimset import cli, loglim
 from loglimset.exactgeom import LinearSystem
 from loglimset.laurent import LaurentPolynomial, parse
 from loglimset.loglim import (
@@ -27,6 +23,42 @@ from loglimset.loglim import (
     unit_direction,
 )
 from loglimset.sphdual import SphericalComplex, contains, rational_points, ray_directions, spherical_dual
+
+
+def root_log_moduli(coeffs):
+    """``log|w|`` of the roots of ``sum a_k w^k`` from the sampler's solver,
+    cluster by cluster; ``coeffs[k]`` is ``(log|a_k|, a_k / |a_k|)`` in
+    ascending powers, or None for a zero coefficient."""
+    log_mod = np.array([[-math.inf if c is None else c[0] for c in coeffs]])
+    phase = np.array([[0j if c is None else c[1] for c in coeffs]])
+    _, logs, failed = loglim._root_logs(log_mod, phase)
+    assert not failed.any()
+    return logs.tolist()
+
+
+def assert_matches_mpmath(ours, oracle, tolerance):
+    """The same skips and point keys as the mpmath sampler's result, and
+    floats within ``tolerance``: directions absolutely, radii relatively.
+
+    Both samplers may order the roots of a grid point differently, so each
+    grid point's points are paired off in order of their free coordinate's
+    direction component, which grows with ``log|root|``."""
+    assert ours.skipped == oracle.skipped
+
+    def by_grid_point(points):
+        grouped = {}
+        for p in sorted(points, key=lambda p: p.direction[1 - p.sweep]):
+            grouped.setdefault((p.sweep, p.grid_index, p.phase_index), []).append(p)
+        return grouped
+
+    mine, theirs = by_grid_point(ours.points), by_grid_point(oracle.points)
+    assert {k: sorted(p.root_index for p in v) for k, v in mine.items()} == {
+        k: sorted(q.root_index for q in v) for k, v in theirs.items()
+    }
+    for key, points in mine.items():
+        for p, q in zip(points, theirs[key]):
+            assert max(abs(a - b) for a, b in zip(p.direction, q.direction)) <= tolerance, (p, q)
+            assert abs(p.radius - q.radius) <= tolerance * q.radius, (p, q)
 
 
 class TestPrincipal:
@@ -188,23 +220,8 @@ class TestSampling:
         f = parse(text, variables)
         params = SampleParams(rho_min="1e-10000", rho_max="1e10000", grid=40, phases=2, seed=3)
         ours = sample_loglim(f, params)
-        oracle = mp_sample_loglim(f, params)
-        assert ours.skipped == oracle.skipped
         assert ours.points
-        by_grid_point = {}
-        for p in oracle.points:
-            by_grid_point.setdefault((p.sweep, p.grid_index, p.phase_index), []).append(p)
-        for p in ours.points:
-            expected = by_grid_point[(p.sweep, p.grid_index, p.phase_index)]
-            match = [
-                q
-                for q in expected
-                if max(abs(a - b) for a, b in zip(p.direction, q.direction)) <= 1e-9
-                and abs(p.radius - q.radius) <= 1e-9 * q.radius
-            ]
-            assert match, (p, expected)
-            expected.remove(match[0])
-        assert not any(by_grid_point.values())
+        assert_matches_mpmath(ours, mp_sample_loglim(f, params), 1e-12)
 
     def test_clusters_that_nearly_touch_keep_every_root(self):
         # root moduli a few tenths of a nat apart give Newton-polygon segments
@@ -214,7 +231,7 @@ class TestSampling:
             logs = sorted(rng.uniform(-2.0, 2.0) for _ in range(rng.randint(2, 7)))
             roots = [cmath.rect(math.exp(u), rng.uniform(0.0, 2.0 * math.pi)) for u in logs]
             coeffs = [(math.log(abs(c)), c / abs(c)) for c in np.poly(roots)[::-1]]
-            assert sorted(loglim._root_log_moduli(coeffs)) == pytest.approx(logs, abs=1e-9)
+            assert sorted(root_log_moduli(coeffs)) == pytest.approx(logs, abs=1e-12)
 
     def test_far_root_does_not_spoil_a_cluster(self):
         # (w^9 - 1)(w - e^far): nine unit roots beside one root e^far away,
@@ -223,8 +240,58 @@ class TestSampling:
             coeffs = [None] * 11
             coeffs[0], coeffs[1] = (far, 1 + 0j), (0.0, -1 + 0j)
             coeffs[9], coeffs[10] = (far, -1 + 0j), (0.0, 1 + 0j)
-            got = sorted(loglim._root_log_moduli(coeffs))
-            assert got == pytest.approx([0.0] * 9 + [far], abs=1e-8), far
+            got = sorted(root_log_moduli(coeffs))
+            assert got == pytest.approx([0.0] * 9 + [far], abs=1e-12), far
+
+    def test_roots_come_cluster_by_cluster(self):
+        # roots e^-20, e^-0.5, -e^0.3 and e^20: the middle two share one
+        # Newton-polygon segment, inside which roots go by |log|w||
+        roots = [math.exp(-20.0), math.exp(-0.5), -math.exp(0.3), math.exp(20.0)]
+        coeffs = [(math.log(abs(c)), c / abs(c)) for c in np.poly(roots)[::-1]]
+        assert root_log_moduli(coeffs) == pytest.approx([-20.0, 0.3, -0.5, 20.0], abs=1e-12)
+
+    def test_matches_mpmath_polyroots(self):
+        # random coefficients with log-moduli in +-30, so root moduli span
+        # up to e^60 and clusters sit at every distance from each other
+        rng = random.Random(17)
+        worst = 0.0
+        for _ in range(100):
+            degree = rng.randint(2, 9)
+            coeffs = [(rng.uniform(-30.0, 30.0), cmath.rect(1.0, rng.uniform(0.0, 2.0 * math.pi)))
+                      for _ in range(degree + 1)]
+            with mp.workdps(30):
+                desc = [mp.exp(mp.mpf(v)) * mp.mpc(c) for v, c in reversed(coeffs)]
+                roots = mp.polyroots(desc, maxsteps=500, extraprec=100)
+                expected = sorted(float(mp.log(abs(w))) for w in roots)
+            got = sorted(root_log_moduli(coeffs))
+            worst = max(worst, max(abs(a - b) for a, b in zip(got, expected)))
+        assert worst <= 1e-13
+
+    def test_multiple_roots_raise_no_warnings(self, capsys, tmp_path):
+        # a RuntimeWarning would land on stderr, which the CLI keeps empty
+        text = "(y-x)*(y-x)*(y+1)"
+        f = parse(text, ("x", "y"))
+        params = SampleParams("1e-300", "1e300", 20, 3, 0)
+        path = tmp_path / "double.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = sample_loglim(f, params)
+            rc = cli.main(["sample", str(path), "--vars", "x,y", "--grid", "20", "--phases", "3"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        # three roots in y and two in x at each of the 20 * 3 grid points
+        assert len(result.points) == 20 * 3 * (3 + 2) and not result.skipped
+
+    def test_newton_step_keeps_the_root_where_the_derivative_vanishes(self):
+        # w^2 - 2w + 1 at its double root w = 1 (p = p' = 0), and w^2 - 2w + 2
+        # at its critical point w = 1 (p' = 0 only): no step is finite
+        log_mod = np.array([[0.0, math.log(2.0), 0.0], [math.log(2.0), math.log(2.0), 0.0]])
+        phase = np.array([[1, -1, 1], [1, -1, 1]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logs = loglim._newton_step(log_mod, phase, np.arange(2), np.zeros(2), np.ones(2, dtype=complex))
+        assert logs.tolist() == [0.0, 0.0]
 
     def test_solver_failure_is_skipped(self, monkeypatch):
         def no_convergence(coeffs):
@@ -278,15 +345,13 @@ class _ZeroPhases(random.Random):
 
 
 class TestStackedSolve:
-    """The stacked solve against the sampler with one ``np.roots`` call per
-    cluster, kept in conftest: whole results must be equal, bit for bit."""
+    """The stacked solve and its Newton step against the 40-digit mpmath
+    sampler in conftest: the same skips and point keys, floats to 1e-12."""
 
     @staticmethod
-    def assert_identical(f, params):
+    def assert_matches(f, params):
         ours = sample_loglim(f, params)
-        reference = np_roots_sample_loglim(f, params)
-        assert ours == reference
-        assert csv_lines(ours.points) == csv_lines(reference.points)
+        assert_matches_mpmath(ours, mp_sample_loglim(f, params), 1e-12)
         return ours
 
     @pytest.mark.parametrize("bounds", [("1e-10000", "1e10000"), ("1e-300", "1e300"), ("1e-6", "1e6")])
@@ -308,7 +373,7 @@ class TestStackedSolve:
         ],
     )
     def test_curves(self, text, variables, bounds):
-        result = self.assert_identical(parse(text, variables), SampleParams(*bounds, 30, 3, 11))
+        result = self.assert_matches(parse(text, variables), SampleParams(*bounds, 30, 3, 11))
         assert result.points
 
     def test_seeded_random_curves(self):
@@ -319,10 +384,10 @@ class TestStackedSolve:
             bounds = ("1e-300", "1e300") if i % 2 else ("1e-10000", "1e10000")
             params = SampleParams(*bounds, 16, 2, i)
             try:
-                self.assert_identical(f, params)
+                self.assert_matches(f, params)
             except ValueError:
                 with pytest.raises(ValueError):
-                    np_roots_sample_loglim(f, params)
+                    mp_sample_loglim(f, params)
                 continue
             sampled += 1
         assert sampled >= 30
@@ -332,12 +397,12 @@ class TestStackedSolve:
         # vanish by cancellation and leave a single coefficient
         monkeypatch.setattr(random, "Random", _ZeroPhases)
         f = parse("(x-1)*y^2+y", ("x", "y"))
-        result = self.assert_identical(f, SampleParams("1e-300", "1e300", 9, 2, 0))
+        result = self.assert_matches(f, SampleParams("1e-300", "1e300", 9, 2, 0))
         assert result.skipped == [
             (sweep, 4, pi, "no roots at this grid point") for sweep in (0, 1) for pi in (0, 1)
         ]
 
-    def test_clusters_bit_for_bit(self):
+    def test_clusters_match_mpmath_roots(self):
         rng = random.Random(5)
         cases = []
         for _ in range(200):
@@ -352,7 +417,7 @@ class TestStackedSolve:
             coeffs[9], coeffs[10] = (far, -1 + 0j), (0.0, 1 + 0j)
             cases.append(coeffs)
         for coeffs in cases:
-            assert loglim._root_log_moduli(coeffs) == _np_roots_log_moduli(coeffs)
+            assert sorted(root_log_moduli(coeffs)) == pytest.approx(mp_root_log_moduli(coeffs), abs=1e-13)
 
 
 class TestClusters:
