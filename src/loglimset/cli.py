@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .knots import TorusKnotParams, a_bar_polynomial, a_polynomial
 from .laurent import LaurentPolynomial, ParseError
-from .loglim import SampleParams, cluster_directions, csv_lines, loglim_outer, sample_loglim
+from .loglim import SampleParams, cluster_directions, csv_lines, loglim_outer, plotdata_lines, sample_loglim
 from .polytope import newton_polytope
 from .slopes import detect_boundary_coordinates, format_slope, sort_slopes
 from .sphdual import ray_directions, spherical_dual
@@ -158,9 +158,7 @@ def cmd_sample(args: argparse.Namespace) -> str:
     clusters = cluster_directions(result.points)
     lines: list[str] = []
     if args.format == "plotdata":
-        lines.extend(
-            f"{p.direction[0]!r} {p.direction[1]!r} {p.radius!r}" for p in result.points
-        )
+        lines.extend(plotdata_lines(result.points))
     else:
         lines.append("radius,d1,d2")
         lines.extend(csv_lines(result.points))

@@ -11,11 +11,12 @@ for curves in two variables: points of the variety are sampled along
 log-spaced magnitude grids, their coordinate-log vectors are normalised, and
 the resulting directions accumulate on the limit set as the radius grows.
 Each sweep runs as numpy arrays over all its grid points.  The roots come in
-magnitude clusters, one per Newton-polygon segment; all clusters of one size
-are solved in one stacked eigenvalue call, and every root is then polished
-by one Newton step on its grid point's full polynomial.  The output is
-byte-stable on one host, but its floats may differ in their last bits
-across CPUs, because numpy dispatches ``exp`` and ``log`` by CPU.
+magnitude clusters, one per Newton-polygon segment; a two-term cluster is
+solved in closed form, the others of one size in one stacked eigenvalue
+call, and every root is then polished by one Newton step on its grid
+point's full polynomial.  The output is byte-stable on one host, but its
+floats may differ in their last bits across CPUs, because numpy dispatches
+``exp`` and ``log`` by CPU.
 """
 
 from __future__ import annotations
@@ -250,30 +251,35 @@ def _eigenvalues(desc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of each row's polynomial (descending coefficients, both ends
     nonzero), and whether its solve succeeded.
 
-    A linear polynomial is solved in closed form, the others as one stack of
-    companion matrices, built as ``np.roots`` builds them (Edelman and
-    Murakami, *Polynomial roots from companion matrix eigenvalues*, 1995),
-    in one ``np.linalg.eigvals`` call.  A stack whose solve fails is solved
-    again one matrix at a time.
+    A row with two nonzero coefficients, ``a w^d + b``, is solved in closed
+    form: its roots are ``|c|^(1/d) e^(i (arg c + 2 pi j) / d)`` with
+    ``c = -b/a``.  The others go as one stack of companion matrices, built as
+    ``np.roots`` builds them (Edelman and Murakami, *Polynomial roots from
+    companion matrix eigenvalues*, 1995), into one ``np.linalg.eigvals``
+    call.  A stack whose solve fails is solved again one matrix at a time.
     """
-    count, n = desc.shape
+    count, d = desc.shape[0], desc.shape[1] - 1
     ok = np.ones(count, dtype=bool)
-    if n == 2:
-        return -desc[:, 1:] / desc[:, :1], ok
-    companion = np.zeros((count, n - 1, n - 1), dtype=complex)
-    companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-    below = np.arange(n - 2)
+    roots = np.ones((count, d), dtype=complex)
+    two = np.count_nonzero(desc, axis=1) == 2
+    c = -desc[two, -1:] / desc[two, :1]
+    roots[two] = np.abs(c) ** (1 / d) * np.exp(1j * (np.angle(c) + 2 * np.pi * np.arange(d)) / d)
+    rest = np.flatnonzero(~two)
+    if not rest.size:
+        return roots, ok
+    companion = np.zeros((len(rest), d, d), dtype=complex)
+    companion[:, 0, :] = -desc[rest, 1:] / desc[rest, :1]
+    below = np.arange(d - 1)
     companion[:, below + 1, below] = 1
     try:
-        return np.linalg.eigvals(companion), ok
+        roots[rest] = np.linalg.eigvals(companion)
     except np.linalg.LinAlgError:
-        roots = np.ones((count, n - 1), dtype=complex)
-        for i, matrix in enumerate(companion):
+        for i, matrix in zip(rest, companion):
             try:
                 roots[i] = np.linalg.eigvals(matrix)
             except np.linalg.LinAlgError:
                 ok[i] = False
-        return roots, ok
+    return roots, ok
 
 
 def _newton_step(
@@ -454,16 +460,22 @@ def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
     return SampleResult(SamplePoints(radius, direction, keys), skipped)
 
 
-def csv_lines(points: Iterable[SamplePoint]) -> list[str]:
-    """Rows of ``radius,d1,d2,...`` with full float precision."""
+def _float_blocks(points: Iterable[SamplePoint]) -> Iterator[Iterator[tuple[float, float, float]]]:
+    """``(radius, d1, d2)`` as Python floats, one block of points at a time."""
     columns = SamplePoints.of(points)
-    lines: list[str] = []
-    # a block at a time, so the Python floats of only one block exist at once
     for start in range(0, len(columns), 1024):
-        radius = columns.radius[start : start + 1024].tolist()
         d1, d2 = columns.direction[start : start + 1024].T.tolist()
-        lines.extend(f"{r!r},{a!r},{b!r}" for r, a, b in zip(radius, d1, d2))
-    return lines
+        yield zip(columns.radius[start : start + 1024].tolist(), d1, d2)
+
+
+def csv_lines(points: Iterable[SamplePoint]) -> list[str]:
+    """Rows of ``radius,d1,d2`` with full float precision."""
+    return [f"{r!r},{a!r},{b!r}" for block in _float_blocks(points) for r, a, b in block]
+
+
+def plotdata_lines(points: Iterable[SamplePoint]) -> list[str]:
+    """Rows of ``d1 d2 radius`` with full float precision."""
+    return [f"{a!r} {b!r} {r!r}" for block in _float_blocks(points) for r, a, b in block]
 
 
 def spherical_distance(u: Sequence[float], v: Sequence[float]) -> float:

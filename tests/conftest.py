@@ -397,6 +397,14 @@ def _closed_or_polyroots(coeffs: list) -> list:
         return _quadratic_roots(*coeffs)
     if all(c == 0 for c in coeffs[1:-1]):
         return _binomial_roots(coeffs[0], coeffs[-1], degree)
+    # 100 extra bits settle nearly every cluster; the few whose error bound
+    # stays above 1e-30 at 100 are solved again at 400
+    try:
+        roots, error = mp.polyroots(coeffs, maxsteps=500, extraprec=100, error=True)
+        if error <= 1e-30:
+            return list(roots)
+    except mp.NoConvergence:
+        pass
     return list(mp.polyroots(coeffs, maxsteps=500, extraprec=400))
 
 

@@ -230,6 +230,24 @@ class TestSample:
         first_data = out.splitlines()[0]
         assert len(first_data.split()) == 3
 
+    def test_plotdata_rows_are_the_points_in_order(self, capsys, trefoil_file):
+        # each row is "d1 d2 radius" of one sample point, in full precision,
+        # and the comment lines are those of the CSV output
+        from loglimset.loglim import SampleParams, sample_loglim
+
+        args = ["sample", trefoil_file, "--vars", "m,l", "--rho-min", "1e-10000", "--rho-max", "1e10000",
+                "--grid", "20", "--phases", "3", "--seed", "7"]
+        rc, plot, _ = run_cli(capsys, args + ["--format", "plotdata"])
+        _, csv, _ = run_cli(capsys, args)
+        assert rc == 0
+        lib = sample_loglim(
+            parse("(l-1)*(l*m^6+1)", ("m", "l")), SampleParams("1e-10000", "1e10000", 20, 3, 7)
+        )
+        rows = [f"{p.direction[0]!r} {p.direction[1]!r} {p.radius!r}" for p in lib.points]
+        comments = [line for line in csv.splitlines() if line.startswith("#")]
+        assert len(rows) == 20 * 3 * (2 + 6)
+        assert plot == "\n".join(rows + comments) + "\n"
+
     def test_matches_library(self, capsys, triangle_file):
         from loglimset.loglim import SampleParams, csv_lines, sample_loglim
 

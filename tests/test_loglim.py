@@ -36,6 +36,10 @@ def root_log_moduli(coeffs):
     return logs.tolist()
 
 
+def _no_eigvals(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 def assert_matches_mpmath(ours, oracle, tolerance):
     """The same skips and point keys as the mpmath sampler's result, and
     floats within ``tolerance``: directions absolutely, radii relatively.
@@ -294,21 +298,22 @@ class TestSampling:
         assert logs.tolist() == [0.0, 0.0]
 
     def test_solver_failure_is_skipped(self, monkeypatch):
-        def no_convergence(coeffs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(loglim.np.linalg, "eigvals", no_convergence)
-        f = parse("y^2+x", ("x", "y"))
+        monkeypatch.setattr(loglim.np.linalg, "eigvals", _no_eigvals)
+        f = parse("y^2+y+x", ("x", "y"))
         result = sample_loglim(f, SampleParams(grid=4, phases=2, seed=0))
-        # fixing x leaves a quadratic in y, which needs the solver; fixing y
-        # leaves a linear polynomial in x, which is solved in closed form
+        # fixing x leaves a three-term quadratic in y, which needs the
+        # solver; fixing y leaves a linear polynomial in x, which is solved
+        # in closed form
         assert result.skipped == [
             (0, gi, pi, "root solver did not converge") for gi in range(4) for pi in range(2)
         ]
         assert len(result.points) == 4 * 2 and {p.sweep for p in result.points} == {1}
+        # y^2 + x has two terms in either sweep and never needs the solver
+        result = sample_loglim(parse("y^2+x", ("x", "y")), SampleParams(grid=4, phases=2, seed=0))
+        assert not result.skipped and len(result.points) == 4 * 2 * (2 + 1)
 
     def test_one_failing_matrix_skips_only_its_grid_point(self, monkeypatch):
-        f = parse("y^2+x", ("x", "y"))
+        f = parse("y^2+y+x", ("x", "y"))
         params = SampleParams(grid=4, phases=2, seed=0)
         clean = sample_loglim(f, params)
         eigvals = np.linalg.eigvals
@@ -324,9 +329,11 @@ class TestSampling:
 
         monkeypatch.setattr(loglim.np.linalg, "eigvals", one_fails)
         result = sample_loglim(f, params)
-        # the third quadratic of the sweep fixing x is grid point 1, phase 0
-        assert result.skipped == [(0, 1, 0, "root solver did not converge")]
-        assert result.points == [p for p in clean.points if (p.sweep, p.grid_index, p.phase_index) != (0, 1, 0)]
+        # at the two smallest magnitudes of the sweep fixing x, each grid
+        # point has a cluster of either root; so the third quadratic is the
+        # first of grid point 0, phase 1
+        assert result.skipped == [(0, 0, 1, "root solver did not converge")]
+        assert result.points == [p for p in clean.points if (p.sweep, p.grid_index, p.phase_index) != (0, 0, 1)]
         assert len(result.points) == len(clean.points) - 2
 
     def test_huge_magnitudes_are_accepted_as_strings(self):
@@ -418,6 +425,67 @@ class TestStackedSolve:
             cases.append(coeffs)
         for coeffs in cases:
             assert sorted(root_log_moduli(coeffs)) == pytest.approx(mp_root_log_moduli(coeffs), abs=1e-13)
+
+
+class TestClosedForm:
+    """Clusters with two nonzero coefficients are solved without
+    ``np.linalg.eigvals``."""
+
+    def test_binomials_match_mpmath_roots(self, monkeypatch):
+        monkeypatch.setattr(loglim.np.linalg, "eigvals", _no_eigvals)
+        rng = random.Random(29)
+        for _ in range(200):
+            degree = rng.randint(1, 40)
+            coeffs = [None] * (degree + 1)
+            for k in (0, degree):
+                coeffs[k] = (rng.uniform(-30.0, 30.0), cmath.rect(1.0, rng.uniform(0.0, 2.0 * math.pi)))
+            got = sorted(root_log_moduli(coeffs))
+            assert len(got) == degree
+            assert got == pytest.approx(mp_root_log_moduli(coeffs), abs=1e-13), coeffs
+
+    def test_mixed_stack_returns_every_row(self, monkeypatch):
+        # one stack of cubics: two-term rows among three- and four-term ones
+        desc = np.array(
+            [
+                [2, 0, 0, -5],
+                [1, 0, 3j, 1],
+                [1j, 0, 0, 1],
+                [1, -2, 0, 1 - 1j],
+                [-3, 0, 0, 0.5j],
+                [1, 1, 1, 1],
+            ],
+            dtype=complex,
+        )
+        eigvals = np.linalg.eigvals
+        stacks = []
+
+        def recording(a):
+            stacks.append(a.copy())
+            return eigvals(a)
+
+        monkeypatch.setattr(loglim.np.linalg, "eigvals", recording)
+        roots, ok = loglim._eigenvalues(desc)
+        assert ok.all() and roots.shape == (6, 3)
+        # only the three rows with more than two terms reach eigvals
+        assert [s.shape for s in stacks] == [(3, 3, 3)]
+        assert [np.count_nonzero(m[0]) for m in stacks[0]] == [2, 2, 3]
+        for row, got in zip(desc, roots):
+            for w in np.roots(row):
+                assert np.min(np.abs(got - w)) <= 1e-12 * abs(w)
+            assert np.poly(got) == pytest.approx(row / row[0], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "text, variables", [("3*x^3-5", ("x", "y")), ("(l-1)*(l*m^6+1)", ("m", "l"))]
+    )
+    def test_binomial_curves_need_no_eigenvalues(self, monkeypatch, text, variables):
+        # at magnitudes 1e+-10000 every cluster of these curves has two terms
+        monkeypatch.setattr(loglim.np.linalg, "eigvals", _no_eigvals)
+        f = parse(text, variables)
+        params = SampleParams(rho_min="1e-10000", rho_max="1e10000", grid=40, phases=2, seed=3)
+        ours = sample_loglim(f, params)
+        assert ours.points
+        assert all(reason != "root solver did not converge" for *_, reason in ours.skipped)
+        assert_matches_mpmath(ours, mp_sample_loglim(f, params), 1e-12)
 
 
 class TestClusters:
