@@ -6,12 +6,18 @@ that is when the differences q - p have no nonnegative combination that is
 zero and not all zero (``exactgeom.balance``, one exact integer LP).  A
 cheap sweep over small integer directions marks most vertices first so the
 LP only runs on the doubtful points.
+
+A point that is not a vertex does not change the hull, so each point an LP
+proves to be a non-vertex leaves the columns of every later LP.  The
+doubtful points are tested deepest first, nearest the centroid by an exact
+integer key, so interior points drop out before the vertices' LPs run.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul, sub
 from typing import Iterable
 
 from .exactgeom import balance, exact_rank
@@ -42,24 +48,25 @@ def extreme_points(points: Iterable[ExponentVector], dim: int) -> frozenset[Expo
         return frozenset(pts)
     vertices: set[ExponentVector] = set()
     for direction in _sweep_directions(dim):
-        best = None
-        best_point = None
-        unique = False
-        for p in pts:
-            value = sum(d * x for d, x in zip(direction, p))
-            if best is None or value > best:
-                best, best_point, unique = value, p, True
-            elif value == best:
-                unique = False
-        if unique:
-            vertices.add(best_point)
-    for p in pts:
-        if p in vertices:
-            continue
+        values = [sum(map(mul, direction, p)) for p in pts]
+        best = max(values)
+        if values.count(best) == 1:
+            vertices.add(pts[values.index(best)])
+    # depth: n^2 times the squared distance to the centroid, ties by point
+    n = len(pts)
+    sums = [sum(column) for column in zip(*pts)]
+    doubtful = sorted(
+        (p for p in pts if p not in vertices),
+        key=lambda p: (sum((n * x - s) ** 2 for x, s in zip(p, sums)), p),
+    )
+    kept = list(pts)
+    for p in doubtful:
         # p = sum lam_q q with sum lam_q = 1 exactly when the q - p balance
-        diffs = [tuple(a - b for a, b in zip(q, p)) for q in pts if q != p]
+        diffs = [tuple(map(sub, q, p)) for q in kept if q != p]
         if balance(diffs, diffs) is None:
             vertices.add(p)
+        else:
+            kept.remove(p)  # conv(kept) stays the hull without p
     return frozenset(vertices)
 
 

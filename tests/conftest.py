@@ -11,6 +11,7 @@ import itertools
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -48,6 +49,8 @@ def load_bench_module(name: str):
     path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    # registered first, as an import would, so its dataclasses can resolve it
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -389,6 +392,16 @@ def _binomial_roots(lead, const, n: int) -> list:
     return [radius * mp.exp(1j * (phase + 2 * mp.pi * k / n)) for k in range(n)]
 
 
+def _double_roots(coeffs: list) -> list | None:
+    """``np.roots`` of the coefficients as mpmath starting points; None when
+    they are not finite and distinct: Durand-Kerner never separates two
+    equal starting points, so both would converge to one root."""
+    roots = np.roots([complex(c) for c in coeffs])
+    if not np.all(np.isfinite(roots)) or len(set(roots.tolist())) < len(roots):
+        return None
+    return [mp.mpc(w) for w in roots.tolist()]
+
+
 def _closed_or_polyroots(coeffs: list) -> list:
     degree = len(coeffs) - 1
     if degree == 1:
@@ -398,9 +411,13 @@ def _closed_or_polyroots(coeffs: list) -> list:
     if all(c == 0 for c in coeffs[1:-1]):
         return _binomial_roots(coeffs[0], coeffs[-1], degree)
     # 100 extra bits settle nearly every cluster; the few whose error bound
-    # stays above 1e-30 at 100 are solved again at 400
+    # stays above 1e-30 at 100 are solved again at 400.  The first solve
+    # starts from numpy's companion-matrix roots, which only saves steps: it
+    # still iterates to the same bound, far past the starting doubles.
     try:
-        roots, error = mp.polyroots(coeffs, maxsteps=500, extraprec=100, error=True)
+        roots, error = mp.polyroots(
+            coeffs, maxsteps=500, extraprec=100, error=True, roots_init=_double_roots(coeffs)
+        )
         if error <= 1e-30:
             return list(roots)
     except mp.NoConvergence:

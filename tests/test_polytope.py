@@ -1,14 +1,17 @@
 import dataclasses
+import itertools
 import json
 import random
 
 import pytest
 
 from conftest import in_convex_hull_fraction, load_bench_module, random_laurent
-from loglimset.exactgeom import exact_rank
-from loglimset.laurent import LaurentPolynomial, parse
+from loglimset import polytope
+from loglimset.exactgeom import balance, exact_rank
+from loglimset.laurent import MAX_EXPONENT, LaurentPolynomial, parse
 from loglimset.polytope import (
     LatticePolytope,
+    _sweep_directions,
     extreme_points,
     minkowski_sum,
     newton_polytope,
@@ -170,3 +173,141 @@ class TestExtremePoints:
             assert extreme_points(pts, m) == expected, pts
             interior += len(pts) - len(expected)
         assert interior >= 40
+
+
+def _hull_vertices(pts):
+    """The vertices by the Fraction hull LP, one point against all others."""
+    return {p for p in pts if not in_convex_hull_fraction(p, [q for q in pts if q != p])}
+
+
+def _sweep_vertices(pts, dim):
+    """The points that some sweep direction maximises alone."""
+    found = set()
+    for d in _sweep_directions(dim):
+        values = {p: sum(a * b for a, b in zip(d, p)) for p in pts}
+        best = max(values.values())
+        top = [p for p, v in values.items() if v == best]
+        if len(top) == 1:
+            found.add(top[0])
+    return found
+
+
+def _dense_support(rng, m):
+    """20-60 points, most of them interior or on an edge or face."""
+    n = rng.randint(20, 60)
+    kind = rng.choice(("box", "line", "plane"))
+    if kind == "box" or (kind == "plane" and m == 2):
+        radius = {2: 4, 3: 2, 4: 2}[m]
+        cube = list(itertools.product(range(-radius, radius + 1), repeat=m))
+        return set(rng.sample(cube, n))
+    base = [rng.randint(-3, 3) for _ in range(m)]
+    spans = []
+    while exact_rank(spans) < (1 if kind == "line" else 2):
+        spans = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(1 if kind == "line" else 2)]
+    # independent spans give 61 distinct points on a line, 81 on a plane
+    reach = 30 if kind == "line" else 4
+    pts = set()
+    while len(pts) < n:
+        coeffs = [rng.randint(-reach, reach) for _ in spans]
+        pts.add(tuple(b + sum(c * v[i] for c, v in zip(coeffs, spans)) for i, b in enumerate(base)))
+    return pts
+
+
+class TestHullLemma:
+    # if q is not a vertex of conv(S), any other point p is one exactly when
+    # p is not in conv(S - {p, q}), so extreme_points drops each proven
+    # non-vertex from its later LPs
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_dense_supports_match_the_fraction_hull_lp(self, m):
+        rng = random.Random(1800 + m)
+        dropped = 0
+        for _ in range(8):
+            pts = _dense_support(rng, m)
+            expected = _hull_vertices(pts)
+            assert extreme_points(pts, m) == expected, sorted(pts)
+            dropped += len(pts) - len(expected)
+        assert dropped >= 100
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_exponents_near_the_width_bound(self, m):
+        # an affine image of a dense support, every coordinate within 2^57
+        # of +-MAX_EXPONENT
+        rng = random.Random(1810 + m)
+        for _ in range(3):
+            small = _dense_support(rng, m)
+            scale = rng.randint(2**50, 2**56 // max(abs(x) for p in small for x in p))
+            shift = [rng.choice((-1, 1)) * (MAX_EXPONENT - 2**56) for _ in range(m)]
+            pts = {tuple(s + scale * x for s, x in zip(shift, p)) for p in small}
+            assert max(abs(x) for p in pts for x in p) <= MAX_EXPONENT
+            assert extreme_points(pts, m) == _hull_vertices(pts)
+
+    def test_result_does_not_depend_on_the_input_order(self):
+        rng = random.Random(1820)
+        for _ in range(10):
+            m = rng.randint(2, 4)
+            pts = list(_dense_support(rng, m))
+            expected = extreme_points(pts, m)
+            for _ in range(3):
+                rng.shuffle(pts)
+                assert extreme_points(pts, m) == expected
+                assert extreme_points(reversed(pts + pts[:5]), m) == expected
+
+
+def _record_balance(monkeypatch):
+    """Patch the hull LP; each call is recorded as (rows, balanced)."""
+    calls = []
+
+    def recording(rows, weighted, *rest):
+        result = balance(rows, weighted, *rest)
+        calls.append((list(rows), result is not None))
+        return result
+
+    monkeypatch.setattr(polytope, "balance", recording)
+    return calls
+
+
+def _tested_point(pts, rows):
+    """The point whose differences to other points the rows are.
+
+    The rows always reach every vertex, and no translate of a polytope other
+    than itself fits inside it, so exactly one point qualifies."""
+    (p,) = [c for c in pts if all(tuple(a + b for a, b in zip(c, r)) in pts for r in rows)]
+    return p
+
+
+class TestHullLpCount:
+    def _check_one_call(self, pts, dim, calls):
+        start = len(calls)
+        extreme_points(pts, dim)
+        tested, proven = [], set()
+        for rows, balanced in calls[start:]:
+            p = _tested_point(pts, rows)
+            reached = {tuple(a + b for a, b in zip(p, r)) for r in rows}
+            assert not reached & proven, (p, reached & proven)
+            tested.append(p)
+            if balanced:
+                proven.add(p)
+        assert sorted(tested) == sorted(set(pts) - _sweep_vertices(pts, dim))
+
+    def test_one_lp_per_doubtful_point_without_proven_non_vertices(self, monkeypatch):
+        calls = _record_balance(monkeypatch)
+        rng = random.Random(1830)
+        for _ in range(30):
+            m = rng.randint(2, 4)
+            self._check_one_call(_dense_support(rng, m), m, calls)
+
+    def test_newton_products_counts(self, monkeypatch, tmp_path):
+        # the traced newton-products run reads polytope.hull_lps 160 and
+        # lp_vertex_ratio 0.5 on seed 1
+        workloads = load_bench_module("workloads")
+        calls = _record_balance(monkeypatch)
+        for item in workloads.build("newton-products", 1, tmp_path):
+            _, path, _, names = item.argv
+            variables = tuple(names.split(","))
+            f = parse((tmp_path / path).read_text().strip(), variables)
+            pts = set(f.support())
+            assert pts == set(item.data["product"])
+            self._check_one_call(pts, len(variables), calls)
+        assert len(calls) == 160
+        assert sum(not balanced for _, balanced in calls) == 80
