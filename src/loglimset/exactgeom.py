@@ -27,7 +27,7 @@ IntRow = tuple[int, ...]
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def primitive_vector(v: Sequence[int]) -> IntRow | None:

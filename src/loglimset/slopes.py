@@ -7,6 +7,12 @@ quarter turn (a, b) -> (b, -a) followed by canonicalisation in
 RP^(2h-1) / Z_2^(h-1): divide by the gcd and flip each pair so its first
 nonzero entry is positive.  For a single torus the class [p, q] is read as
 the slope p/q.
+
+``detect_boundary_coordinates`` computes the classes of a whole complex as
+arrays: one integer array of directions, the quarter turn as a column swap
+with one negation, the pair flips by ``np.where``.  ``apply_T`` and
+``canonicalize`` are the per-vector API and the reference that the tests
+compare it with.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .sphdual import RationalDirection, SphericalComplex, rational_points
 
@@ -95,12 +103,19 @@ def detect_boundary_coordinates(
 
     The complex must live over the 2h eigenvalue coordinates in cusp order;
     every primitive direction up to the height bound is pushed through the
-    quarter turn and canonicalised.
+    quarter turn and canonicalised, all of them at once as one array.
     """
     if complex_.dim % 2:
         raise ValueError("eigenvalue varieties live in an even number of variables")
     h = complex_.dim // 2
-    return {canonicalize(apply_T(xi, h)) for xi in rational_points(complex_, height)}
+    pairs = np.array(rational_points(complex_, height), dtype=np.int64).reshape(-1, h, 2)
+    # T is a signed permutation, so a primitive direction stays primitive: no gcd
+    turned = pairs[:, :, ::-1] * np.array([1, -1])
+    lead = np.where(turned[:, :, 0] != 0, turned[:, :, 0], turned[:, :, 1])
+    turned *= np.where(lead < 0, -1, 1)[:, :, None]
+    # a set of tuples deduplicates these few thousand rows faster than np.unique(axis=0)
+    classes = set(map(tuple, turned.reshape(-1, 2 * h).tolist()))
+    return {BoundaryCurveCoordinate(entries) for entries in classes}
 
 
 def format_slope(slope: Fraction | None) -> str:

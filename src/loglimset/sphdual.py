@@ -211,47 +211,77 @@ def intersect(c1: SphericalComplex, c2: SphericalComplex) -> SphericalComplex:
 # rational directions
 
 
-_BLOCK_LIMIT = 2_000_000  # grid vectors handled in one allocation
+_BLOCK_LIMIT = 2_500  # grid vectors held in one allocation, over all cells of a stack
 
 
 def _grid_blocks(dim: int, height: int):
     """[-height, height]^dim in lex order, in blocks of at most ``_BLOCK_LIMIT``
-    vectors (or of one coordinate's values) to bound peak memory."""
-    side = 2 * height + 1
-    lead = 0
-    while dim - lead > 1 and side ** (dim - lead) > _BLOCK_LIMIT:
-        lead += 1
-    tail = np.indices((side,) * (dim - lead), dtype=np.int64).reshape(dim - lead, -1).T - height
-    for head in itertools.product(range(-height, height + 1), repeat=lead):
-        yield np.hstack([np.full((len(tail), lead), head, dtype=np.int64), tail])
+    vectors, so memory stays bounded for every dim.
 
-
-def _cell_points(cell: LinearSystem, height: int):
-    """Blocks of the primitive vectors of max-norm <= height in a cell.
-
-    The free coordinates (the non-pivot columns of the equalities' echelon
-    form) run over [-height, height]^k; each pivot coordinate is solved from
-    them, ``p * x_pivot = -sum a_j x_j``, and kept when exact and in range.
+    A block fixes the leading coordinates, takes a run of values of the next
+    one and every value of the trailing ones, so even a single coordinate's
+    range is cut into runs when it is longer than the limit.
     """
-    pivots, reduced = rref(cell.equalities)
+    side = 2 * height + 1
+    inner = 0  # trailing coordinates that run in full inside a block
+    while inner < dim - 1 and side ** (inner + 1) <= _BLOCK_LIMIT:
+        inner += 1
+    step = max(1, _BLOCK_LIMIT // side**inner)
+    rest = np.indices((side,) * inner, dtype=np.int64).reshape(inner, side**inner).T - height
+    for head in itertools.product(range(-height, height + 1), repeat=dim - 1 - inner):
+        for lo in range(-height, height + 1, step):
+            run = np.arange(lo, min(lo + step, height + 1), dtype=np.int64)
+            n = len(run) * len(rest)
+            yield np.hstack([
+                np.full((n, len(head)), head, dtype=np.int64),
+                np.repeat(run, len(rest))[:, None],
+                np.tile(rest, (len(run), 1)),
+            ])
+
+
+def _lift(cell: LinearSystem) -> tuple[list[list[int]], list[int], list]:
+    """Lift rows, denominators and echelon rows of a cell.  The free
+    coordinates are the non-pivot columns of the equalities' echelon form;
+    over free values g, coordinate j of a point is ``lift[j] . g / denom[j]``,
+    which solves ``p * x_pivot = -sum a_j x_j`` for each pivot."""
+    pivots, echelon = rref(cell.equalities)
     free = [j for j in range(cell.dim) if j not in pivots]
-    rows = reduced + list(cell.inequalities)
+    lift = [[int(j == f) for f in free] for j in range(cell.dim)]
+    denom = [1] * cell.dim
+    for row, col in zip(echelon, pivots):
+        lift[col] = [-row[f] for f in free]
+        denom[col] = row[col]
+    return lift, denom, echelon
+
+
+def _stack_points(stack: list, height: int):
+    """Blocks of the primitive vectors of max-norm <= height in a stack of
+    cells that leave the same number k of coordinates free.
+
+    Each grid block of [-height, height]^k is lifted into every cell at once
+    through a lift tensor (cells, m, k); the inequality rows are zero-padded
+    to a common count.  Arrays are laid out (cells, m, vectors), so the
+    checks reduce over slabs rather than along short rows.
+    """
+    cells, lifts, denoms, echelons = zip(*stack)
+    dim, k = cells[0].dim, len(lifts[0][0])
+    rows = [row for cell, echelon in zip(cells, echelons) for row in echelon + list(cell.inequalities)]
     maxabs = max((abs(x) for row in rows for x in row), default=0)
-    dtype = np.int64 if maxabs * height * cell.dim < _INT64_SAFE else object
-    coeffs = np.array([[row[j] for j in free] for row in reduced], dtype=dtype).reshape(-1, len(free))
-    leads = np.array([row[col] for row, col in zip(reduced, pivots)], dtype=dtype)
-    ineqs = np.array(cell.inequalities, dtype=dtype).reshape(-1, cell.dim)
-    for block in _grid_blocks(len(free), height):
-        numer = -(block.astype(dtype, copy=False) @ coeffs.T)
-        # pivots are positive, so |numer| <= height * p bounds the solved value
-        ok = ((numer % leads == 0) & (abs(numer) <= height * leads)).all(axis=1)
-        points = np.empty((int(ok.sum()), cell.dim), dtype=np.int64)
-        points[:, free] = block[ok]
-        points[:, pivots] = numer[ok] // leads
-        points = points[np.gcd.reduce(np.abs(points), axis=1) == 1]  # the zero vector has gcd 0
-        if len(ineqs):
-            points = points[(ineqs @ points.T.astype(dtype, copy=False) >= 0).all(axis=0)]
-        yield points
+    dtype = np.int64 if maxabs * height * dim < _INT64_SAFE else object
+    lift = np.array(lifts, dtype=dtype).reshape(len(stack), dim, k)
+    denom = np.array(denoms, dtype=dtype)[:, :, None]
+    ineqs = np.zeros((len(stack), max(len(c.inequalities) for c in cells), dim), dtype=dtype)
+    for i, cell in enumerate(cells):
+        ineqs[i, : len(cell.inequalities)] = np.array(cell.inequalities, dtype=dtype).reshape(-1, dim)
+    for block in _grid_blocks(k, height):
+        numer = lift @ block.T.astype(dtype, copy=False)
+        quot = numer // denom
+        ok = ((numer % denom == 0) & (abs(quot) <= height)).all(axis=1)
+        # zero the rejected vectors: their quotients could overflow the row products
+        points = np.where(ok[:, None, :], quot, 0).astype(np.int64)
+        ok &= np.gcd.reduce(np.abs(points), axis=1) == 1  # the zero vector has gcd 0
+        ok &= ((ineqs @ points.astype(dtype, copy=False)) >= 0).all(axis=1)
+        yield points.transpose(0, 2, 1)[ok]
 
 
 def rational_points(complex_: SphericalComplex, height: int) -> tuple[RationalDirection, ...]:
@@ -260,14 +290,22 @@ def rational_points(complex_: SphericalComplex, height: int) -> tuple[RationalDi
     Each cell is walked through the k coordinates its equalities leave free,
     (2h+1)^k vectors whatever the ambient dimension m (k is the cell's
     dimension unless an inequality hides an equality).  Only the full sphere
-    walks the whole space, the cell with no rows: (2h+1)^m.
+    walks the whole space, the cell with no rows: (2h+1)^m.  The cells of one
+    k are walked together as a stack of arrays.  One bound, ``_BLOCK_LIMIT``
+    grid vectors per stack and block, caps the memory for every k and height.
     """
     if height < 1:
         raise ValueError("height must be positive")
-    found: set[RationalDirection] = set()
+    by_free: dict[int, list] = {}
     for cell in complex_.cells:
-        for points in _cell_points(cell, height):
-            found.update(map(tuple, points.tolist()))
+        lifted = _lift(cell)
+        by_free.setdefault(len(lifted[0][0]), []).append((cell, *lifted))
+    found: set[RationalDirection] = set()
+    for k, group in by_free.items():
+        size = max(1, _BLOCK_LIMIT // (2 * height + 1) ** k)  # cells per stack
+        for start in range(0, len(group), size):
+            for points in _stack_points(group[start : start + size], height):
+                found.update(map(tuple, points.tolist()))
     return tuple(sorted(found))
 
 

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import load_bench_module, split_link_generators
+from conftest import load_bench_module, random_laurent, split_link_generators
+from loglimset.exactgeom import LinearSystem
 from loglimset.laurent import parse
 from loglimset.loglim import loglim_outer
 from loglimset.slopes import (
@@ -14,7 +16,7 @@ from loglimset.slopes import (
     format_slope,
     sort_slopes,
 )
-from loglimset.sphdual import SphericalComplex, spherical_dual
+from loglimset.sphdual import SphericalComplex, rational_points, spherical_dual
 
 
 class TestApplyT:
@@ -109,6 +111,37 @@ class TestDetection:
             spherical_dual(f), 8
         ) == detect_boundary_coordinates(spherical_dual(g), 8)
         assert support  # sanity
+
+
+class TestArrayClasses:
+    """The classes computed as arrays against the per-vector API."""
+
+    @staticmethod
+    def reference(c, height):
+        return {canonicalize(apply_T(xi, c.dim // 2)) for xi in rational_points(c, height)}
+
+    def test_matches_per_vector_reference(self):
+        rng = random.Random(19)
+        names = ("m1", "l1", "m2", "l2", "m3", "l3")
+        for m in (2, 4, 6):
+            for height in (1, 2, 3, 4):
+                duals = [spherical_dual(random_laurent(rng, names[:m], max_terms=5, exp_lo=-2, exp_hi=2))]
+                if m < 6 or height <= 2:
+                    duals.append(SphericalComplex.full(m))
+                for c in duals:
+                    found = detect_boundary_coordinates(c, height)
+                    assert found == self.reference(c, height), (m, height)
+                    assert all(type(x) is int for b in found for x in b.entries)
+                    json.dumps(sorted(list(b.entries) for b in found))
+
+    def test_zero_pairs(self):
+        # the plane m1 = l1 = 0: every direction has a zero first pair
+        plane = SphericalComplex(4, cells=[LinearSystem.make(4, [(1, 0, 0, 0), (0, 1, 0, 0)], [])])
+        found = detect_boundary_coordinates(plane, 3)
+        assert found == self.reference(plane, 3)
+        assert BoundaryCurveCoordinate((0, 0, 2, 1)) in found  # (0, 0, 1, -2) turned
+        assert all(b.entries[:2] == (0, 0) for b in found)
+        assert canonicalize(apply_T((0, 0, 1, -2), 2)) in detect_boundary_coordinates(SphericalComplex.full(4), 2)
 
 
 class TestTwoCuspGroundTruth:

@@ -13,7 +13,7 @@ from conftest import (
     support_max_twice,
 )
 from loglimset import sphdual
-from loglimset.exactgeom import LinearSystem
+from loglimset.exactgeom import LinearSystem, rref
 from loglimset.laurent import LaurentPolynomial, parse
 from loglimset.loglim import loglim_outer
 from loglimset.sphdual import (
@@ -264,10 +264,70 @@ class TestCellEnumeration:
         assert checked >= 100
 
     @pytest.mark.parametrize("knots", [((2, 3), (3, 4)), ((2, 5), (2, 5)), ((3, 5), (2, 7)), ((4, 5), (5, 6))])
-    def test_split_links_match_grid_reference(self, knots):
+    def test_split_links_match_grid_reference(self, knots, monkeypatch):
         c = loglim_outer(split_link_generators(*knots))
-        got = rational_points(c, 12)
-        assert got and got == rational_points_grid(c, 12)
+        expected = rational_points_grid(c, 12)
+        assert expected
+        # a limit of 1 walks one cell per stack and one vector per block;
+        # 10**9 stacks all 16 cells of a link
+        for limit in (sphdual._BLOCK_LIMIT, 1, 10**9):
+            monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", limit)
+            assert rational_points(c, 12) == expected, limit
+
+    @pytest.mark.parametrize("block_limit", [1, 10**9])
+    def test_stacks_of_cells_with_one_two_and_three_free_coordinates(self, block_limit, monkeypatch):
+        monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", block_limit)
+        cells = [
+            LinearSystem.make(4, [(1, -2, 0, 0), (0, 0, 1, 0), (0, 1, 0, 3)], [(0, 1, 0, 0)]),
+            LinearSystem.make(4, [(1, 1, 1, 1), (0, 2, -1, 0), (0, 0, 1, -1)], []),
+            LinearSystem.make(4, [(1, 0, 0, 0), (0, 1, 1, 0)], [(0, 0, 1, 1)]),
+            LinearSystem.make(4, [(2, 0, -1, 0), (0, 3, 0, -2)], [(1, 0, 0, 0), (0, -1, 0, 0)]),
+            LinearSystem.make(4, [(1, 2, -1, 0)], [(0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, -1)]),
+            LinearSystem.make(4, [(0, 0, 0, 1)], [(1, 1, 0, 0)]),
+        ]
+        c = SphericalComplex(4, cells=cells)
+        assert sorted(4 - len(rref(cell.equalities)[0]) for cell in c.cells) == [1, 1, 2, 2, 3, 3]
+        got = rational_points(c, 4)
+        assert got == rational_points_grid(c, 4)
+        assert got == tuple(
+            xi for xi in primitive_vectors_py(4, 4) if any(cell.satisfied_by(xi) for cell in cells)
+        )
+
+    def test_ray_cells_are_walked_in_bounded_blocks(self, monkeypatch):
+        # a cell with one free coordinate must split that coordinate's range too
+        limit = 40
+        monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", limit)
+        walks = []
+        stack_points, grid_blocks = sphdual._stack_points, sphdual._grid_blocks
+
+        def spy_stack(stack, height):
+            walks.append((len(stack), []))
+            yield from stack_points(stack, height)
+
+        def spy_blocks(dim, height):
+            for block in grid_blocks(dim, height):
+                walks[-1][1].append(len(block))
+                yield block
+
+        monkeypatch.setattr(sphdual, "_stack_points", spy_stack)
+        monkeypatch.setattr(sphdual, "_grid_blocks", spy_blocks)
+        rays = SphericalComplex(2, cells=[
+            LinearSystem.make(2, [(1, -2)], [(0, 1)]),
+            LinearSystem.make(2, [(0, 1)], []),
+            LinearSystem.make(2, [(3, 7)], [(-1, 0)]),
+        ])
+        got = rational_points(rays, 100)
+        assert got == rational_points_grid(rays, 100) == ((-7, 3), (-1, 0), (1, 0), (2, 1))
+        assert len(walks) == 3 and sum(n for _, sizes in walks for n in sizes) == 3 * 201
+        assert all(n * size <= limit for n, sizes in walks for size in sizes)
+
+    def test_grid_blocks_are_bounded_and_in_lex_order(self, monkeypatch):
+        monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", 40)
+        for dim, height in ((1, 100), (2, 30), (3, 2), (2, 3)):
+            blocks = list(sphdual._grid_blocks(dim, height))
+            assert all(0 < len(b) <= 40 for b in blocks)
+            grid = [tuple(row) for b in blocks for row in b.tolist()]
+            assert grid == list(itertools.product(range(-height, height + 1), repeat=dim))
 
     def test_blocked_walk_of_a_full_dimensional_cell(self, monkeypatch):
         monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", 40)
@@ -281,19 +341,25 @@ class TestCellEnumeration:
             )
         assert rational_points(SphericalComplex.full(3), 4) == tuple(primitive_vectors_py(3, 4))
 
-    def test_object_dtype_past_the_int64_guard(self):
+    def test_object_dtype_past_the_int64_guard(self, monkeypatch):
         big = 2**61
         cells = [
             LinearSystem.make(3, [(3, big, -big)], [(0, 1, 0)]),
             LinearSystem.make(3, [(1, 1, -1)], [(big + 1, -big, 0)]),
+            LinearSystem.make(3, [(1, -1, 0)], [(0, 0, 1)]),
+            LinearSystem.make(3, [(0, 2, 1)], []),
         ]
         c = SphericalComplex(3, cells=cells)
-        got = rational_points(c, 3)
-        assert got == rational_points_grid(c, 3)
-        assert got == tuple(
+        expected = rational_points_grid(c, 3)
+        assert expected == tuple(
             xi for xi in primitive_vectors_py(3, 3) if any(cell.satisfied_by(xi) for cell in cells)
         )
-        assert (0, 1, 1) in got and (1, 1, 2) in got
+        assert (0, 1, 1) in expected and (1, 1, 2) in expected
+        # every cell leaves two coordinates free: with a large limit the
+        # int64-safe cells share one object-dtype stack with the others
+        for limit in (sphdual._BLOCK_LIMIT, 1, 10**9):
+            monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", limit)
+            assert rational_points(c, 3) == expected, limit
 
 
 class TestCellDimensions:
