@@ -217,7 +217,10 @@ def solve_nonneg(
     f = T[i][enter] to (p*a - f*c) // D, where c is the pivot row's entry in
     a's column (an exact division, Bareiss 1968), and then sets D = p.
     Since D > 0, sign tests and cross-multiplied ratio comparisons decide
-    exactly as on the true values.
+    exactly as on the true values.  The starting basis takes, for each row,
+    its lowest unit column (m - 1 zeros and a 1, after the rows' sign
+    flips), found in one pass over the columns; the other rows start on
+    artificial columns.
 
     When the LP is infeasible and ``certificate`` is a list, it is filled
     with a Farkas certificate y, one integer per row of A in the rows'
@@ -239,17 +242,14 @@ def solve_nonneg(
             T[i] = [-v for v in T[i]]
             b[i] = -b[i]
 
-    # crash basis from pre-existing unit columns
+    # crash basis from pre-existing unit columns: a column with m - 1 zeros
+    # and a 1 is a unit column of the 1's row; each row takes its lowest
     basis: list[int] = [-1] * m
-    taken: set[int] = set()
-    for i in range(m):
-        for j in range(n):
-            if j in taken or T[i][j] != 1:
-                continue
-            if all(T[k][j] == 0 for k in range(m) if k != i):
+    for j, column in enumerate(zip(*T)):
+        if column.count(0) == m - 1 and 1 in column:
+            i = column.index(1)
+            if basis[i] < 0:
                 basis[i] = j
-                taken.add(j)
-                break
     art_rows = [i for i in range(m) if basis[i] == -1]
     for k, i in enumerate(art_rows):
         basis[i] = n + k
@@ -260,7 +260,7 @@ def solve_nonneg(
     # the objective drops when structural column j enters.  The artificial
     # columns never re-enter, so T and d store them only for a certificate;
     # a basic column's entry of d starts at 0.
-    d = [sum(T[i][j] for i in art_rows) for j in range(n)]
+    d = list(map(sum, zip(*(T[i] for i in art_rows)))) if art_rows else [0] * n
     if certificate is not None:
         for i in range(m):
             T[i] += [int(k == i) for k in art_rows]
@@ -338,7 +338,7 @@ def balance(
     """
     dim = len(rows[0])
     chosen = set(weighted)
-    A = [[row[j] for row in rows] for j in range(dim)]
+    A = list(zip(*rows))
     A.append([int(row in chosen) for row in rows])
     certificate = None if point is None else []
     sol = solve_nonneg(A, [0] * dim + [1], certificate)

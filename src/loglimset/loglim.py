@@ -420,8 +420,9 @@ def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
     for sweep in (0, 1):
         fixed, free = sweep, 1 - sweep
         # both sweeps draw every angle, so each draws the same ones whether
-        # or not the other was degenerate
-        theta = np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(len(t))])
+        # or not the other was degenerate; uniform(0, 2 pi) is 2 pi * random(),
+        # bit for bit
+        theta = np.array([rng.random() for _ in range(len(t))]) * (2.0 * math.pi)
         if degree_spread[free] == 0:
             skipped.extend(
                 (sweep, gi, pi, "constant in the free variable")

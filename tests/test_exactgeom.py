@@ -329,6 +329,34 @@ class TestFractionFreeKernel:
         assert solve_nonneg_fraction(rows, rhs) == expected
         assert _as_fractions(solve_nonneg(rows, rhs)) == expected
 
+    @pytest.mark.parametrize(
+        "rows, rhs, expected, certificate",
+        [
+            # columns 0 and 1 are the same unit column of row 0: the lower
+            # one is basic, so x0 carries the rhs and x1 stays 0
+            ([(1, 1, 0, 2), (0, 0, 1, 1)], (3, 2), ([3, 0, 2, 0], 1), []),
+            # column 0 is a unit column of row 0 only after the row's sign
+            # flip for its negative rhs
+            ([(-1, 2, 0), (0, 1, 1)], (-2, 3), ([2, 0, 3], 1), []),
+            # the same, infeasible: the certificate weighs the crash row in
+            # its given sign
+            ([(-1, 0, -1), (0, -1, 1)], (-1, 2), None, [1, 1]),
+            # row 0 has no unit column and starts on an artificial
+            ([(2, 3, 0), (1, 1, 1)], (5, 2), ([1, 1, 0], 1), []),
+            ([(2, 3, 0), (1, 1, 1)], (5, 1), None, [1, -3]),
+        ],
+    )
+    def test_crash_basis(self, rows, rhs, expected, certificate):
+        found: list = []
+        result = solve_nonneg(rows, rhs, found)
+        assert result == expected
+        assert _as_fractions(result) == solve_nonneg_fraction(rows, rhs)
+        assert found == certificate
+        if certificate:
+            # a Farkas certificate: y^T A <= 0 and y^T b > 0
+            assert all(sum(v * row[j] for v, row in zip(found, rows)) <= 0 for j in range(len(rows[0])))
+            assert sum(v * b for v, b in zip(found, rhs)) > 0
+
     def test_no_artificials_returns_unit_denominator(self):
         y, D = solve_nonneg([(1, 0, 2), (0, 1, 3)], (4, 5))
         assert (y, D) == ([4, 5, 0], 1)

@@ -172,6 +172,33 @@ class TestSampling:
         assert all(p.radius > 1.0 for p in result.points)
         assert any(p.grid_index == 4 for p in result.points)  # the roots off |w| = 1 stay
 
+    @pytest.mark.parametrize("text", ["x+y+1", "3*x^3-5"])
+    def test_phases_are_the_bits_of_uniform_draws(self, monkeypatch, text):
+        # each sweep's phases are the next grid * phases draws of
+        # Random(seed).uniform(0, 2 pi), bit for bit, in blocks of _BLOCK;
+        # 3*x^3 - 5 is constant in y, so its first sweep draws and skips
+        sums = loglim._coefficient_sums
+        seen = {0: [], 1: []}
+
+        def recording(f, free, t, theta):
+            seen[1 - free].append(theta.copy())
+            return sums(f, free, t, theta)
+
+        monkeypatch.setattr(loglim, "_coefficient_sums", recording)
+        f = parse(text, ("x", "y"))
+        for seed in range(5):
+            params = SampleParams(grid=1000, phases=2, seed=seed)
+            seen[0].clear()
+            seen[1].clear()
+            sample_loglim(f, params)
+            rng = random.Random(seed)
+            for sweep in (0, 1):
+                expected = np.array([rng.uniform(0.0, 2.0 * math.pi) for _ in range(2000)])
+                if sweep == 0 and text == "3*x^3-5":
+                    assert not seen[0]
+                    continue
+                assert np.concatenate(seen[sweep]).tobytes() == expected.tobytes()
+
     def test_deterministic_given_seed(self):
         cases = [
             ("x+y+1", ("x", "y"), SampleParams(grid=10, phases=3, seed=42)),
@@ -345,10 +372,12 @@ class TestSampling:
 
 
 class _ZeroPhases(random.Random):
-    """A phase stream that always draws 0, so grid points lie on the positive axis."""
+    """A phase stream that always draws 0, so grid points lie on the positive axis.
 
-    def uniform(self, a, b):
-        return a
+    ``uniform(a, b)`` is ``a + (b - a) * random()``, so it draws ``a``."""
+
+    def random(self):
+        return 0.0
 
 
 class TestStackedSolve:

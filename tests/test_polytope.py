@@ -180,16 +180,20 @@ def _hull_vertices(pts):
     return {p for p in pts if not in_convex_hull_fraction(p, [q for q in pts if q != p])}
 
 
-def _sweep_vertices(pts, dim):
-    """The points that some sweep direction maximises alone."""
-    found = set()
+def _sweep_maximisers(pts, dim):
+    """The lexicographically least and greatest maximiser of each sweep direction."""
+    out = []
     for d in _sweep_directions(dim):
         values = {p: sum(a * b for a, b in zip(d, p)) for p in pts}
         best = max(values.values())
-        top = [p for p, v in values.items() if v == best]
-        if len(top) == 1:
-            found.add(top[0])
-    return found
+        top = sorted(p for p, v in values.items() if v == best)
+        out.append((d, top[0], top[-1]))
+    return out
+
+
+def _sweep_vertices(pts, dim):
+    """The points that the sweep marks as vertices."""
+    return {p for _, first, last in _sweep_maximisers(pts, dim) for p in (first, last)}
 
 
 def _dense_support(rng, m):
@@ -298,8 +302,9 @@ class TestHullLpCount:
             self._check_one_call(_dense_support(rng, m), m, calls)
 
     def test_newton_products_counts(self, monkeypatch, tmp_path):
-        # the traced newton-products run reads polytope.hull_lps 160 and
-        # lp_vertex_ratio 0.5 on seed 1
+        # the traced newton-products run reads polytope.hull_lps 115 and
+        # lp_vertex_ratio 0.30 on seed 1: a sweep that kept only unique
+        # maxima left 160 points to the LP, 80 of them vertices
         workloads = load_bench_module("workloads")
         calls = _record_balance(monkeypatch)
         for item in workloads.build("newton-products", 1, tmp_path):
@@ -309,5 +314,63 @@ class TestHullLpCount:
             pts = set(f.support())
             assert pts == set(item.data["product"])
             self._check_one_call(pts, len(variables), calls)
-        assert len(calls) == 160
-        assert sum(not balanced for _, balanced in calls) == 80
+        assert len(calls) == 115
+        assert sum(not balanced for _, balanced in calls) == 35
+
+
+def _tied_support(rng, m):
+    """A support with large tied faces: part of a lattice box, a prism over
+    a random base, or points on a plane."""
+    kind = rng.choice(("box", "prism", "plane"))
+    if kind == "box":
+        widths = [rng.randint(1, 2 if m > 4 else 3) for _ in range(m)]
+        box = list(itertools.product(*(range(w + 1) for w in widths)))
+        return set(rng.sample(box, min(len(box), rng.randint(12, 40))))
+    if kind == "prism":
+        base = {tuple(rng.randint(-2, 2) for _ in range(m - 1)) for _ in range(rng.randint(3, 8))}
+        return {b + (h,) for b in base for h in range(rng.randint(2, 4))}
+    base = [rng.randint(-3, 3) for _ in range(m)]
+    spans = []
+    while exact_rank(spans) < 2:
+        spans = [[rng.randint(-1, 1) for _ in range(m)] for _ in range(2)]
+    grid = [(a, c) for a in range(-2, 3) for c in range(-2, 3) if rng.random() < 0.8]
+    return {tuple(b + a * u + c * v for b, u, v in zip(base, *spans)) for a, c in grid}
+
+
+class TestLexExtremeMaximisers:
+    # a sweep direction is maximised on a face of the hull, and the
+    # lexicographically least and greatest points of a face are vertices of
+    # it, so of the hull: the sweep marks both without an LP.  In 5 and 6
+    # variables the sweep uses the axis directions and the two diagonals.
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_both_lex_extreme_maximisers_are_vertices(self, monkeypatch, m):
+        calls = _record_balance(monkeypatch)
+        rng = random.Random(2000 + m)
+        ties = 0
+        for _ in range(6):
+            pts = _tied_support(rng, m)
+            marked = _sweep_vertices(pts, m)
+            for p in marked:
+                assert not in_convex_hull_fraction(p, [q for q in pts if q != p]), (p, sorted(pts))
+            start = len(calls)
+            assert marked <= extreme_points(pts, m)
+            tested = {_tested_point(pts, rows) for rows, _ in calls[start:]}
+            assert not tested & marked, sorted(tested & marked)
+            ties += sum(first != last for _, first, last in _sweep_maximisers(pts, m))
+        assert ties >= 20, ties
+
+    def test_result_does_not_depend_on_the_order_of_the_lp_rows(self, monkeypatch):
+        rng = random.Random(2010)
+        supports = [(m, _tied_support(rng, m)) for m in (2, 3, 4, 5, 6) for _ in range(3)]
+        expected = [extreme_points(pts, m) for m, pts in supports]
+        assert expected == [_hull_vertices(pts) for _, pts in supports]
+
+        def shuffled(rows):
+            rows = list(rows)
+            rng.shuffle(rows)
+            return rows
+
+        for order in (lambda rows: rows[::-1], shuffled):
+            monkeypatch.setattr(polytope, "balance", lambda rows, weighted, *rest: balance(order(rows), weighted, *rest))
+            assert [extreme_points(pts, m) for m, pts in supports] == expected
