@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .laurent import LaurentPolynomial
-from .sphdual import SphericalComplex, intersect, ray_directions, spherical_dual
+from .sphdual import SphericalComplex, intersect, spherical_dual
 
 DEFAULT_ACCUMULATION_RADIUS = math.exp(10.0)
 
@@ -45,9 +45,11 @@ _CLUSTER_WINDOW = 24.0
 # A Newton step that moves a root by more than this, relative to its size,
 # is not trusted, and the eigenvalue root is kept.
 _POLISH_LIMIT = 2.0**-10
-# Grid points solved together: larger blocks save little time and cost
-# memory that the process keeps.
-_BLOCK = 512
+# Grid points solved together.  Most of a block's time is numpy's cost per
+# call, so a sweep of a few thousand points runs as one block; the bound
+# keeps a long sweep's working arrays, a few kB per grid point on small
+# curves, from growing with the grid.
+_BLOCK = 4096
 _SKIP_REASONS = ("", "no roots at this grid point", "root solver did not converge")
 
 
@@ -349,7 +351,8 @@ def _root_logs(log_mod: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.n
     coeff = np.where(kept, np.exp(scaled - top[:, None]) * phase[seg_row], 0)
     seg_failed = np.zeros(len(seg), dtype=bool)
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=complex))]
-    for degree in np.unique(k_hi - k_lo).tolist():
+    # not np.unique, whose first call imports numpy.ma
+    for degree in sorted(set((k_hi - k_lo).tolist())):
         members = np.flatnonzero(k_hi - k_lo == degree)
         desc = coeff[members[:, None], k_hi[members, None] - np.arange(degree + 1)]
         roots, ok = _eigenvalues(desc)
@@ -439,10 +442,10 @@ def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
             rows = np.flatnonzero(solvable)
             owner, logs, failed = _root_logs(log_mod[rows], phase[rows])
             reason[rows[failed]] = 2
+            bad = np.flatnonzero(reason)
             skipped.extend(
                 (sweep, p // params.phases, p % params.phases, _SKIP_REASONS[r])
-                for p, r in zip(block.tolist(), reason.tolist())
-                if r
+                for p, r in zip(block[bad].tolist(), reason[bad].tolist())
             )
             # the root index counts every root of its grid point, kept or not
             root = np.arange(len(owner)) - np.searchsorted(owner, owner)
@@ -477,30 +480,6 @@ def csv_lines(points: Iterable[SamplePoint]) -> list[str]:
 def plotdata_lines(points: Iterable[SamplePoint]) -> list[str]:
     """Rows of ``d1 d2 radius`` with full float precision."""
     return [f"{a!r} {b!r} {r!r}" for block in _float_blocks(points) for r, a, b in block]
-
-
-def spherical_distance(u: Sequence[float], v: Sequence[float]) -> float:
-    dot = sum(a * b for a, b in zip(u, v))
-    return math.acos(max(-1.0, min(1.0, dot)))
-
-
-def unit_direction(vec: Sequence[int]) -> tuple[float, ...]:
-    norm = math.sqrt(sum(x * x for x in vec))
-    return tuple(x / norm for x in vec)
-
-
-def min_angle_to_complex(direction: Sequence[float], complex_: SphericalComplex) -> float:
-    """Angular distance from a unit vector to the nearest ray of the complex.
-
-    Valid when every cell of the complex is one-dimensional (rays or lines),
-    which covers all two-variable duals.
-    """
-    if complex_.full_sphere:
-        return 0.0
-    rays = ray_directions(complex_)
-    if not rays:
-        return math.pi
-    return min(spherical_distance(direction, unit_direction(r)) for r in rays)
 
 
 def cluster_directions(

@@ -8,7 +8,7 @@ cheap sweep over small integer directions marks most vertices first so the
 LP only runs on the doubtful points.  A direction is maximised on a face of
 the hull, and the lexicographically least and greatest points of a face
 are vertices of it (lex order is a linear functional in the limit), so the
-sweep marks both, tied or not.
+sweep marks both, tied or not, and it stops once every point is marked.
 
 A point that is not a vertex does not change the hull, so each point an LP
 proves to be a non-vertex leaves the columns of every later LP.  The
@@ -60,6 +60,8 @@ def extreme_points(points: Iterable[ExponentVector], dim: int) -> frozenset[Expo
         # pts is sorted: the lexicographically least and greatest maximisers
         vertices.add(pts[values.index(best)])
         vertices.add(pts[last - values[::-1].index(best)])
+        if len(vertices) == len(pts):
+            return frozenset(vertices)
     # depth: n^2 times the squared distance to the centroid, ties by point
     n = len(pts)
     sums = [sum(column) for column in zip(*pts)]

@@ -33,7 +33,7 @@ from loglimset.exactgeom import (
 from loglimset.knots import TorusKnotParams, a_polynomial
 from loglimset.laurent import LaurentPolynomial
 from loglimset.loglim import SampleParams, SamplePoint, SampleResult
-from loglimset.sphdual import pair_cone, reduce_to_maximal
+from loglimset.sphdual import SphericalComplex, pair_cone, ray_directions, reduce_to_maximal
 
 
 def subprocess_env() -> dict[str, str]:
@@ -367,6 +367,34 @@ def rational_points_grid(complex_, height: int) -> tuple[tuple[int, ...], ...]:
             mask |= _cell_mask_grid(cell, dirs, height)
         out.extend(tuple(int(x) for x in row) for row in dirs[mask])
     return tuple(out)
+
+
+# ----------------------------------------------------------------------
+# angles between sample directions and the rays of a two-variable dual
+
+
+def spherical_distance(u: Sequence[float], v: Sequence[float]) -> float:
+    dot = sum(a * b for a, b in zip(u, v))
+    return math.acos(max(-1.0, min(1.0, dot)))
+
+
+def unit_direction(vec: Sequence[int]) -> tuple[float, ...]:
+    norm = math.sqrt(sum(x * x for x in vec))
+    return tuple(x / norm for x in vec)
+
+
+def min_angle_to_complex(direction: Sequence[float], complex_: SphericalComplex) -> float:
+    """Angular distance from a unit vector to the nearest ray of the complex.
+
+    Valid when every cell of the complex is one-dimensional (rays or lines),
+    which covers all two-variable duals.
+    """
+    if complex_.full_sphere:
+        return 0.0
+    rays = ray_directions(complex_)
+    if not rays:
+        return math.pi
+    return min(spherical_distance(direction, unit_direction(r)) for r in rays)
 
 
 # ----------------------------------------------------------------------

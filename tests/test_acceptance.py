@@ -15,7 +15,15 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from conftest import primitive_vectors_py, random_laurent, subprocess_env, support_max_twice
+from conftest import (
+    min_angle_to_complex,
+    primitive_vectors_py,
+    random_laurent,
+    spherical_distance,
+    subprocess_env,
+    support_max_twice,
+    unit_direction,
+)
 from loglimset import cli
 from loglimset.knots import TorusKnotParams, detected_slopes, verify_psl2_relation
 from loglimset.laurent import parse
@@ -23,10 +31,7 @@ from loglimset.loglim import (
     DEFAULT_ACCUMULATION_RADIUS,
     SampleParams,
     loglim_outer,
-    min_angle_to_complex,
     sample_loglim,
-    spherical_distance,
-    unit_direction,
 )
 from loglimset.polytope import minkowski_sum, newton_polytope
 from loglimset.sphdual import (

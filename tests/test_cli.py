@@ -384,3 +384,43 @@ class TestSubprocessEntry:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "['numpy']"
+
+    def test_commands_import_nothing_after_start_up(self, tmp_path):
+        # every module a command needs is loaded by `import loglimset.cli`,
+        # so no command pays a first-use import (np.unique, for one, imports
+        # numpy.ma on its first call); argparse's gettext loads locale
+        files = {
+            "line": "x+y+1\n",
+            "trefoil": "(l-1)*(l*m^6+1)\n",
+            "binomial": "3*x^3-5\n",
+            "segments": "(y-1)*(y^2-x^3)*(y^3-x^7)\n",
+            "link": "(l1-1)*(l1*m1^6+1)\n(l2-1)*(l2*m2^10+1)\n",
+        }
+        for name, text in files.items():
+            (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+        runs = [
+            ["newton", "line.txt", "--vars", "x,y"],
+            ["sphdual", "line.txt", "--vars", "x,y"],
+            ["sphdual", "trefoil.txt", "--vars", "m,l", "--format", "plotdata"],
+            ["loglim", "trefoil.txt", "--vars", "m,l"],
+            ["slopes", "trefoil.txt", "--vars", "m,l"],
+            ["slopes", "link.txt", "--vars", "m1,l1,m2,l2", "--height", "3"],
+            ["torusknot", "2", "3"],
+            ["torusknot", "3", "4", "--psl2", "--format", "json"],
+            ["sample", "trefoil.txt", "--vars", "m,l", "--grid", "8", "--rho-min", "1e-10000", "--rho-max", "1e10000"],
+            ["sample", "binomial.txt", "--vars", "x,y", "--grid", "8"],
+            ["sample", "segments.txt", "--vars", "x,y", "--grid", "8", "--format", "plotdata"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from loglimset import cli\n"
+            "before = set(sys.modules)\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=subprocess_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert set(json.loads(result.stdout.splitlines()[-1])) <= {"locale", "_locale"}

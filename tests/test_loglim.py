@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from conftest import mp_root_log_moduli, mp_sample_loglim, primitive_vectors_py, random_laurent
+from conftest import (
+    min_angle_to_complex,
+    mp_root_log_moduli,
+    mp_sample_loglim,
+    primitive_vectors_py,
+    random_laurent,
+    spherical_distance,
+    unit_direction,
+)
 from loglimset import cli, loglim
 from loglimset.exactgeom import LinearSystem
 from loglimset.laurent import LaurentPolynomial, parse
@@ -17,10 +25,7 @@ from loglimset.loglim import (
     cluster_directions,
     csv_lines,
     loglim_outer,
-    min_angle_to_complex,
     sample_loglim,
-    spherical_distance,
-    unit_direction,
 )
 from loglimset.sphdual import SphericalComplex, contains, rational_points, ray_directions, spherical_dual
 
@@ -175,7 +180,8 @@ class TestSampling:
     @pytest.mark.parametrize("text", ["x+y+1", "3*x^3-5"])
     def test_phases_are_the_bits_of_uniform_draws(self, monkeypatch, text):
         # each sweep's phases are the next grid * phases draws of
-        # Random(seed).uniform(0, 2 pi), bit for bit, in blocks of _BLOCK;
+        # Random(seed).uniform(0, 2 pi), bit for bit, handed out in blocks of
+        # at most _BLOCK grid points;
         # 3*x^3 - 5 is constant in y, so its first sweep draws and skips
         sums = loglim._coefficient_sums
         seen = {0: [], 1: []}
@@ -198,6 +204,45 @@ class TestSampling:
                     assert not seen[0]
                     continue
                 assert np.concatenate(seen[sweep]).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, variables, exponent, fail",
+        [
+            ("(l-1)*(l*m^6+1)", ("m", "l"), 300, False),
+            # constant in y: the first sweep is skipped at every grid point
+            ("3*x^3-5", ("x", "y"), 300, False),
+            # clusters of 1, 2 and 3 roots, and of up to 10 where they merge
+            ("(y-1)*(y^2-x^3)*(y^3-x^7)", ("x", "y"), 300, False),
+            # fixing x near 1/4 leaves a three-term quadratic in y for the
+            # solver, which fails on some of them
+            ("y^2+y+x", ("x", "y"), 2, True),
+        ],
+    )
+    def test_output_does_not_depend_on_the_block_bound(self, monkeypatch, text, variables, exponent, fail):
+        eigvals = np.linalg.eigvals
+
+        def some_fail(a):
+            # a matrix fails by its own entries, whatever stack holds it
+            if fail and (a.reshape(-1, *a.shape[-2:])[:, 0, 1].imag > 0).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(loglim.np.linalg, "eigvals", some_fail)
+        f = parse(text, variables)
+        params = SampleParams(f"1e-{exponent}", f"1e{exponent}", 25, 3, 4)
+        # 75 grid points per sweep: 75 blocks, 11 blocks and one block
+        results = []
+        for block in (1, 7, loglim._BLOCK):
+            monkeypatch.setattr(loglim, "_BLOCK", block)
+            results.append(sample_loglim(f, params))
+        *others, default = results
+        assert len(default.points) > 0
+        if fail:
+            assert 0 < len(default.skipped) < 25 * 3
+        for other in others:
+            for column in ("radius", "direction", "keys"):
+                assert getattr(other.points, column).tobytes() == getattr(default.points, column).tobytes()
+            assert other.skipped == default.skipped
 
     def test_deterministic_given_seed(self):
         cases = [
