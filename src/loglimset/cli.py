@@ -166,7 +166,8 @@ def cmd_sample(args: argparse.Namespace) -> str:
     lines.append("# clusters (top radius decile, tolerance 0.02)")
     for i, (rep, count) in enumerate(clusters, start=1):
         lines.append(f"# cluster {i}: direction=({rep[0]!r}, {rep[1]!r}) count={count}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the output
+    return "\n".join(lines)
 
 
 def _complex_plotdata(complex_) -> str:

@@ -464,22 +464,34 @@ def sample_loglim(f: LaurentPolynomial, params: SampleParams) -> SampleResult:
     return SampleResult(SamplePoints(radius, direction, keys), skipped)
 
 
-def _float_blocks(points: Iterable[SamplePoint]) -> Iterator[Iterator[tuple[float, float, float]]]:
-    """``(radius, d1, d2)`` as Python floats, one block of points at a time."""
+def _repr_blocks(points: Iterable[SamplePoint]) -> Iterator[tuple[list[str], zip]]:
+    """One block of points at a time: the ``repr`` of each distinct float of
+    ``(radius, d1, d2)``, and each point's three indices into that list.
+
+    Near infinity all phases of one magnitude give roots of one modulus, so
+    most floats of a sample repeat exactly and only a few are formatted.
+    Floats are told apart by their bits, not their values, because ``0.0``
+    and ``-0.0`` are equal but print differently.
+    """
     columns = SamplePoints.of(points)
     for start in range(0, len(columns), 1024):
-        d1, d2 = columns.direction[start : start + 1024].T.tolist()
-        yield zip(columns.radius[start : start + 1024].tolist(), d1, d2)
+        block = slice(start, start + 1024)
+        bits = np.concatenate([columns.radius[block], *columns.direction[block].T], dtype=float).view(np.int64)
+        order = np.argsort(bits)  # equal bits share one text, so no stable sort is needed
+        first = np.r_[True, bits[order[1:]] != bits[order[:-1]]]
+        index = np.empty_like(order)
+        index[order] = np.cumsum(first) - 1
+        yield list(map(repr, bits[order[first]].view(float).tolist())), zip(*index.reshape(3, -1).tolist())
 
 
 def csv_lines(points: Iterable[SamplePoint]) -> list[str]:
     """Rows of ``radius,d1,d2`` with full float precision."""
-    return [f"{r!r},{a!r},{b!r}" for block in _float_blocks(points) for r, a, b in block]
+    return [f"{t[r]},{t[a]},{t[b]}" for t, block in _repr_blocks(points) for r, a, b in block]
 
 
 def plotdata_lines(points: Iterable[SamplePoint]) -> list[str]:
     """Rows of ``d1 d2 radius`` with full float precision."""
-    return [f"{a!r} {b!r} {r!r}" for block in _float_blocks(points) for r, a, b in block]
+    return [f"{t[a]} {t[b]} {t[r]}" for t, block in _repr_blocks(points) for r, a, b in block]
 
 
 def cluster_directions(

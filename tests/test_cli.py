@@ -249,7 +249,8 @@ class TestSample:
         assert plot == "\n".join(rows + comments) + "\n"
 
     def test_matches_library(self, capsys, triangle_file):
-        from loglimset.loglim import SampleParams, csv_lines, sample_loglim
+        # each row is "radius,d1,d2" of one sample point, in full precision
+        from loglimset.loglim import SampleParams, sample_loglim
 
         rc, out, _ = run_cli(
             capsys,
@@ -261,7 +262,7 @@ class TestSample:
             parse("x+y+1", ("x", "y")), SampleParams(grid=9, phases=2, seed=13)
         )
         data = [line for line in out.splitlines()[1:] if not line.startswith("#")]
-        assert data == csv_lines(lib.points)
+        assert data == [f"{p.radius!r},{p.direction[0]!r},{p.direction[1]!r}" for p in lib.points]
 
     def test_rejects_multiple_polynomials(self, capsys, tmp_path):
         path = tmp_path / "many.txt"

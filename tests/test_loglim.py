@@ -22,9 +22,11 @@ from loglimset.laurent import LaurentPolynomial, parse
 from loglimset.loglim import (
     SamplePoint,
     SampleParams,
+    SamplePoints,
     cluster_directions,
     csv_lines,
     loglim_outer,
+    plotdata_lines,
     sample_loglim,
 )
 from loglimset.sphdual import SphericalComplex, contains, rational_points, ray_directions, spherical_dual
@@ -574,3 +576,60 @@ class TestClusters:
 
     def test_empty(self):
         assert cluster_directions([]) == []
+
+
+class TestOutputRows:
+    """``csv_lines`` and ``plotdata_lines`` against per-float ``repr``."""
+
+    @staticmethod
+    def assert_rows(rows):
+        # rows are (radius, d1, d2) as Python floats
+        points = SamplePoints(
+            np.array([r for r, _, _ in rows], dtype=float),
+            np.array([(a, b) for _, a, b in rows], dtype=float).reshape(-1, 2),
+            np.array([(0, i, 0, 0) for i in range(len(rows))], dtype=np.int64).reshape(-1, 4),
+        )
+        assert csv_lines(points) == [f"{r!r},{a!r},{b!r}" for r, a, b in rows]
+        assert plotdata_lines(points) == [f"{a!r} {b!r} {r!r}" for r, a, b in rows]
+
+    def test_signed_zeros_in_one_block(self):
+        self.assert_rows([(1.0, 0.0, -0.0), (1.0, -0.0, 0.0), (0.0, -0.0, -0.0), (-0.0, 0.0, 0.0)])
+
+    def test_special_values(self):
+        tiny = 5e-324
+        self.assert_rows(
+            [
+                (math.nan, math.inf, -math.inf),
+                (-math.nan, -math.inf, math.inf),
+                (tiny, -tiny, 2.2250738585072014e-308),
+                (2.225073858507201e-308, math.nan, tiny),
+            ]
+        )
+
+    def test_either_side_of_exponent_notation(self):
+        # repr writes 1e16 and anything below 1e-4 with an exponent
+        below_1e16 = math.nextafter(1e16, 0.0)
+        below_1e4 = math.nextafter(1e-4, 0.0)
+        values = [1e16, below_1e16, -1e16, -below_1e16, 1e-5, 1e-4, below_1e4, -below_1e4, 123456789012345.6]
+        self.assert_rows([(v, values[(i + 3) % len(values)], -v) for i, v in enumerate(values)])
+
+    def test_duplicates_across_block_boundary(self):
+        # 2 500 points over 40 distinct floats, so every block, and both
+        # sides of each boundary at 1 024 and 2 048, hold the same values
+        rng = random.Random(5)
+        pool = [rng.uniform(-1.0, 1.0) for _ in range(40)]
+        self.assert_rows([tuple(pool[rng.randrange(40)] for _ in range(3)) for _ in range(2500)])
+
+    def test_all_distinct(self):
+        rng = random.Random(6)
+        self.assert_rows([(rng.expovariate(1e-3), rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(1500)])
+
+    def test_no_points(self):
+        self.assert_rows([])
+
+    def test_plain_list(self):
+        points = [SamplePoint((0.6, -0.8), 7.5, 0, i, 0, 0) for i in range(3)] + [
+            SamplePoint((-0.0, 1.0), 1e300, 1, 0, 0, 0)
+        ]
+        assert csv_lines(points) == ["7.5,0.6,-0.8"] * 3 + ["1e+300,-0.0,1.0"]
+        assert plotdata_lines(points) == ["0.6 -0.8 7.5"] * 3 + ["-0.0 1.0 1e+300"]
