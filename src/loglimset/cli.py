@@ -250,6 +250,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError, ArithmeticError) as exc:
         sys.stderr.write(_json_line({"error": type(exc).__name__, "message": str(exc)}))
         return 1
+    except MemoryError as exc:
+        # numpy raises a private subclass; report the builtin name
+        sys.stderr.write(_json_line({"error": "MemoryError", "message": str(exc)}))
+        return 1
     sys.stdout.write(output)
     return 0
 

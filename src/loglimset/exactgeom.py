@@ -203,69 +203,44 @@ def intersect(s1: LinearSystem, s2: LinearSystem) -> LinearSystem:
 
 def solve_nonneg(
     rows: Sequence[Sequence[int]],
-    rhs: Sequence[int],
     certificate: Optional[list[int]] = None,
-) -> Optional[tuple[list[int], int]]:
-    """Find x >= 0 with A x = b exactly, or None if infeasible.
+) -> Optional[list[int]]:
+    """Find x >= 0 with A x = (0, ..., 0, 1) exactly, or None if infeasible.
 
-    The solution is returned in integers as ``(y, D)`` with ``x = y / D``
-    and D > 0.  The tableau is kept in integers: every entry of T, b and
-    the objective row d, and the objective value, is D times its true
-    value, where D is the determinant of the current basis (D = 1 for the
-    starting basis of unit columns).  A pivot on p = T[leave][enter] > 0
-    leaves the pivot row as it is, maps every other entry a with multiplier
+    The solution is returned in integers, as D times x for some D > 0.  The
+    tableau is kept in integers: every entry of T, b and the objective row
+    d, and the objective value, is D times its true value, where D is the
+    determinant of the current basis (D = 1 for the starting basis, one
+    artificial column per row).  A pivot on p = T[leave][enter] > 0 leaves
+    the pivot row as it is, maps every other entry a with multiplier
     f = T[i][enter] to (p*a - f*c) // D, where c is the pivot row's entry in
     a's column (an exact division, Bareiss 1968), and then sets D = p.
     Since D > 0, sign tests and cross-multiplied ratio comparisons decide
-    exactly as on the true values.  The starting basis takes, for each row,
-    its lowest unit column (m - 1 zeros and a 1, after the rows' sign
-    flips), found in one pass over the columns; the other rows start on
-    artificial columns.
+    exactly as on the true values.
 
     When the LP is infeasible and ``certificate`` is a list, it is filled
-    with a Farkas certificate y, one integer per row of A in the rows'
-    given signs: ``y^T A <= 0`` and ``y^T b > 0``, so no x >= 0 solves
-    A x = b.  It is D times the phase-1 simplex multipliers, read off the
-    final objective row at each row's starting basic column: a crash
-    column's entry is the multiplier, an artificial column's entry is the
-    multiplier minus D (its cost).  T and d carry the artificial columns
-    only when a certificate is asked for.
+    with a Farkas certificate z, one integer per row of A: ``z^T A <= 0``
+    and ``z[-1] > 0``, so no x >= 0 solves the system.  It is D times the
+    phase-1 simplex multipliers, read off the final objective row at each
+    row's artificial column as its entry plus D (the column's cost).  T and
+    d carry the artificial columns only when a certificate is asked for.
     """
     m = len(rows)
-    if m == 0:
-        return [], 1
     n = len(rows[0])
     T = [list(row) for row in rows]
-    b = list(rhs)
-    for i in range(m):
-        if b[i] < 0:
-            T[i] = [-v for v in T[i]]
-            b[i] = -b[i]
+    b = [0] * (m - 1) + [1]
+    basis = list(range(n, n + m))
 
-    # crash basis from pre-existing unit columns: a column with m - 1 zeros
-    # and a 1 is a unit column of the 1's row; each row takes its lowest
-    basis: list[int] = [-1] * m
-    for j, column in enumerate(zip(*T)):
-        if column.count(0) == m - 1 and 1 in column:
-            i = column.index(1)
-            if basis[i] < 0:
-                basis[i] = j
-    art_rows = [i for i in range(m) if basis[i] == -1]
-    for k, i in enumerate(art_rows):
-        basis[i] = n + k
-    start = list(basis)
-
-    # phase-1 objective: minimise the sum of artificials (with none, d is
-    # zero and the crash basis is the answer).  d[j] is the rate at which
-    # the objective drops when structural column j enters.  The artificial
-    # columns never re-enter, so T and d store them only for a certificate;
-    # a basic column's entry of d starts at 0.
-    d = list(map(sum, zip(*(T[i] for i in art_rows)))) if art_rows else [0] * n
+    # phase-1 objective: minimise the sum of artificials.  d[j] is the rate
+    # at which the objective drops when structural column j enters.  The
+    # artificial columns never re-enter, so T and d store them only for a
+    # certificate; a basic column's entry of d starts at 0.
+    d = list(map(sum, zip(*T)))
     if certificate is not None:
         for i in range(m):
-            T[i] += [int(k == i) for k in art_rows]
-        d += [0] * len(art_rows)
-    value = sum(b[i] for i in art_rows)
+            T[i] += [int(k == i) for k in range(m)]
+        d += [0] * m
+    value = 1
     D = 1
 
     while True:
@@ -309,15 +284,13 @@ def solve_nonneg(
 
     if value != 0:
         if certificate is not None:
-            certificate[:] = [
-                (-1 if r < 0 else 1) * (d[j] + D if j >= n else d[j]) for r, j in zip(rhs, start)
-            ]
+            certificate[:] = [v + D for v in d[n:]]
         return None
     y = [0] * n
     for i, j in enumerate(basis):
         if j < n:
             y[j] = b[i]
-    return y, D
+    return y
 
 
 def balance(
@@ -341,12 +314,10 @@ def balance(
     A = list(zip(*rows))
     A.append([int(row in chosen) for row in rows])
     certificate = None if point is None else []
-    sol = solve_nonneg(A, [0] * dim + [1], certificate)
-    if sol is None:
-        if point is not None:
-            point[:] = [-v for v in certificate[:dim]]
-        return None
-    return sol[0]
+    lam = solve_nonneg(A, certificate)
+    if lam is None and point is not None:
+        point[:] = [-v for v in certificate[:dim]]
+    return lam
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from loglimset.exactgeom import (
     exact_rank,
     nullspace_basis,
     primitive_vector,
-    solve_nonneg,
 )
 from loglimset.knots import TorusKnotParams, a_polynomial
 from loglimset.laurent import LaurentPolynomial
@@ -153,61 +152,35 @@ def rref_fraction(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[int], 
     return pivots, mat[: len(pivots)]
 
 
-# Reference phase-1 simplex on a Fraction tableau, with the crash basis and
-# Bland rule of exactgeom.solve_nonneg; tests compare the integer kernel to it.
+# Reference phase-1 simplex on a Fraction tableau, every row starting on an
+# artificial column, with the Bland rule of exactgeom.solve_nonneg; tests
+# compare the integer kernel to it.
 def solve_nonneg_fraction(rows: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]) -> Optional[list[Fraction]]:
     """Find x >= 0 with A x = b exactly, or None if infeasible."""
     m = len(rows)
     if m == 0:
         return []
     n = len(rows[0])
-    A = [[Fraction(v) for v in row] for row in rows]
+    T = [[Fraction(v) for v in row] for row in rows]
     b = [Fraction(v) for v in rhs]
     for i in range(m):
         if b[i] < 0:
-            A[i] = [-v for v in A[i]]
+            T[i] = [-v for v in T[i]]
             b[i] = -b[i]
 
-    # crash basis from pre-existing unit columns
-    basis: list[int] = [-1] * m
-    taken: set[int] = set()
-    for i in range(m):
-        for j in range(n):
-            if j in taken or A[i][j] != 1:
-                continue
-            if all(A[k][j] == 0 for k in range(m) if k != i):
-                basis[i] = j
-                taken.add(j)
-                break
-    art_rows = [i for i in range(m) if basis[i] == -1]
-    if not art_rows:
-        x = [Fraction(0)] * n
-        for i, j in enumerate(basis):
-            x[j] = b[i]
-        return x
-
-    total = n + len(art_rows)
-    T = [row + [Fraction(0)] * len(art_rows) for row in A]
-    for k, i in enumerate(art_rows):
-        T[i][n + k] = Fraction(1)
-        basis[i] = n + k
+    # row i starts on artificial column n + i; the artificial columns never
+    # re-enter, so T does not store them
+    basis = list(range(n, n + m))
 
     # phase-1 objective: minimise the sum of artificials.  d[j] is the rate
-    # at which the objective drops when nonbasic column j enters.
-    d = [Fraction(0)] * total
-    value = Fraction(0)
-    for i in art_rows:
-        for j in range(total):
-            d[j] += T[i][j]
-        value += b[i]
-    for j in range(n, total):
-        d[j] = Fraction(0)  # artificials never re-enter
-    alive = [True] * total
+    # at which the objective drops when structural column j enters.
+    d = [sum(col, Fraction(0)) for col in zip(*T)]
+    value = sum(b, Fraction(0))
 
     while True:
         enter = -1
         for j in range(n):
-            if alive[j] and d[j] > 0:
+            if d[j] > 0:
                 enter = j
                 break
         if enter < 0:
@@ -224,20 +197,18 @@ def solve_nonneg_fraction(rows: Sequence[Sequence[int | Fraction]], rhs: Sequenc
         if leave < 0:
             raise ArithmeticError("phase-1 objective unbounded; inconsistent tableau")
         piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
-        b[leave] = b[leave] / piv
+        if piv != 1:
+            T[leave] = [v / piv if v else v for v in T[leave]]
+            b[leave] = b[leave] / piv
         for i in range(m):
             if i != leave and T[i][enter] != 0:
                 f = T[i][enter]
-                T[i] = [a - f * c for a, c in zip(T[i], T[leave])]
+                T[i] = [a - f * c if c else a for a, c in zip(T[i], T[leave])]
                 b[i] -= f * b[leave]
         f = d[enter]
         if f != 0:
-            d = [a - f * c for a, c in zip(d, T[leave])]
+            d = [a - f * c if c else a for a, c in zip(d, T[leave])]
             value -= f * b[leave]
-        left_col = basis[leave]
-        if left_col >= n:
-            alive[left_col] = False
         basis[leave] = enter
 
     if value != 0:
@@ -257,8 +228,8 @@ def in_convex_hull_fraction(point: Sequence[int], others: Sequence[Sequence[int]
 
 
 # The primal strict LP that exactgeom used before it asked balance: free
-# unknowns split as y = u - w and one slack column per row.  It runs on the
-# integer kernel, which tests compare to the Fraction tableau above.
+# unknowns split as y = u - w and one slack column per row, on the Fraction
+# tableau above.
 def strict_feasible(rows: Sequence[Sequence[int]], strict: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
     """A point y with row.y >= 0 for all rows and row.y >= 1 for strict rows, or None."""
     d = len(rows[0]) if rows else len(strict[0])
@@ -269,11 +240,10 @@ def strict_feasible(rows: Sequence[Sequence[int]], strict: Sequence[Sequence[int
         slack = [0] * len(ordered)
         slack[i] = -1
         A.append(list(row) + [-x for x in row] + slack)
-    sol = solve_nonneg(A, [int(i < len(strict)) for i in range(len(ordered))])
-    if sol is None:
+    x = solve_nonneg_fraction(A, [int(i < len(strict)) for i in range(len(ordered))])
+    if x is None:
         return None
-    x, D = sol
-    return [Fraction(x[j] - x[d + j], D) for j in range(d)]
+    return [x[j] - x[d + j] for j in range(d)]
 
 
 # Reference cone analysis that solves one LP per candidate row once the joint

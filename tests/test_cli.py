@@ -313,6 +313,19 @@ class TestErrorsAndDeterminism:
         assert rc == 1
         assert json.loads(err)["error"] == "FileNotFoundError"
 
+    def test_memory_error_is_a_json_error(self, capsys, monkeypatch, trefoil_file):
+        # numpy's allocation failure is a private MemoryError subclass
+        class _ArrayMemoryError(MemoryError):
+            pass
+
+        def exhausted(f, params):
+            raise _ArrayMemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(cli, "sample_loglim", exhausted)
+        rc, out, err = run_cli(capsys, ["sample", trefoil_file, "--vars", "m,l"])
+        assert rc == 1 and out == ""
+        assert json.loads(err) == {"error": "MemoryError", "message": "Unable to allocate 74.5 GiB"}
+
     @pytest.mark.parametrize("command", [["slopes", "FILE", "--vars", "m,l"], ["torusknot", "2", "3"]])
     def test_height_below_one_is_a_usage_error(self, capsys, trefoil_file, command):
         args = [trefoil_file if a == "FILE" else a for a in command] + ["--height", "0"]

@@ -27,15 +27,6 @@ from loglimset.exactgeom import (
 from loglimset.sphdual import pair_cone
 
 
-def _as_fractions(result):
-    """The x of an integer solve_nonneg result (y, D), as Fractions y / D."""
-    if result is None:
-        return None
-    y, D = result
-    assert D > 0 and all(type(v) is int for v in y)
-    return [Fraction(v, D) for v in y]
-
-
 class TestCanonicalisation:
     def test_rows_become_primitive_and_sorted(self):
         s = LinearSystem.make(2, equalities=[(4, -2)], inequalities=[(0, 6), (0, 3)])
@@ -264,15 +255,6 @@ class TestLowLevel:
         for vec in basis:
             assert sum(vec) == 0
 
-    def test_solve_nonneg_feasible(self):
-        # x + y = 2, x - y = 0 has the nonnegative solution (1, 1)
-        x = _as_fractions(solve_nonneg([(1, 1), (1, -1)], (2, 0)))
-        assert x == [Fraction(1), Fraction(1)]
-
-    def test_solve_nonneg_infeasible(self):
-        # x + y = -1 has no nonnegative solution
-        assert solve_nonneg([(1, 1)], (-1,)) is None
-
     def test_cone_strict_feasible(self):
         quadrant = LinearSystem.make(2, inequalities=[(1, 0), (0, 1)])
         assert cone_strict_feasible(quadrant, (1, 1))
@@ -291,18 +273,34 @@ class TestLowLevel:
         assert not cone_contains(half, quadrant)
 
 
-def _random_system(rng: random.Random, feasible: bool) -> tuple[list[list[int]], list[int]]:
-    """m 1-7 rows, n 1-30 columns; sparse rows often give crash-basis unit columns."""
-    m = rng.randint(1, 7)
-    n = rng.randint(1, 30)
+def _balance_lp(rows: list[tuple[int, ...]], weighted: list[tuple[int, ...]]) -> list[list[int]]:
+    """The LP that balance builds: the rows as columns over a 0/1 row that
+    weighs the weighted rows; its right-hand side is (0, ..., 0, 1)."""
+    return [list(col) for col in zip(*rows)] + [[int(r in weighted) for r in rows]]
+
+
+def _has_unit_column(A: list[list[int]]) -> bool:
+    """A column with one 1 and zeros elsewhere: an unweighted unit row e_i
+    or a weighted zero row."""
+    return any(col.count(0) == len(col) - 1 and 1 in col for col in zip(*A))
+
+
+def _random_balance_rows(rng: random.Random) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """dim 1-6, 1-10 random rows, often with a negated combination of some
+    of them (so that the rows balance), and sometimes coordinate rows e_i
+    left unweighted, which are unit columns of the LP."""
+    dim = rng.randint(1, 6)
     density = rng.choice((0.3, 0.6, 1.0))
-    rows = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
-    if feasible:
-        x = [rng.randint(0, 3) if rng.random() < 0.5 else 0 for _ in range(n)]
-        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
-    else:
-        rhs = [rng.randint(-9, 9) for _ in range(m)]
-    return rows, rhs
+    rows = [
+        tuple(rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(dim))
+        for _ in range(rng.randint(1, 10))
+    ]
+    if rng.random() < 0.5:
+        group = rng.sample(rows, rng.randint(1, min(3, len(rows))))
+        rows.append(tuple(-sum(rng.randint(1, 3) * r[i] for r in group) for i in range(dim)))
+    weighted = [r for r in rows if rng.random() < 0.6] or [rng.choice(rows)]
+    units = [tuple(int(i == k) for i in range(dim)) for k in range(dim) if rng.random() < 0.2]
+    return rows + [u for u in units if u not in weighted], weighted
 
 
 class TestFractionFreeKernel:
@@ -310,60 +308,35 @@ class TestFractionFreeKernel:
 
     def test_matches_fraction_kernel_on_random_integer_systems(self):
         rng = random.Random(20260)
-        infeasible = 0
-        for k in range(2000):
-            rows, rhs = _random_system(rng, feasible=k % 2 == 0)
-            expected = solve_nonneg_fraction(rows, rhs)
-            assert _as_fractions(solve_nonneg(rows, rhs)) == expected, (rows, rhs)
-            infeasible += expected is None
-        # both outcomes must be well represented for the comparison to mean much
-        assert 100 < infeasible < 1000
+        infeasible = unit = 0
+        for _ in range(2000):
+            rows, weighted = _random_balance_rows(rng)
+            A = _balance_lp(rows, weighted)
+            expected = solve_nonneg_fraction(A, [0] * (len(A) - 1) + [1])
+            lam = solve_nonneg(A)
+            unit += _has_unit_column(A)
+            if expected is None:
+                assert lam is None, (rows, weighted)
+                infeasible += 1
+                continue
+            # the last row says the weighted x sum to 1, so lam = D x for D
+            # the weighted sum of lam
+            D = dot(A[-1], lam)
+            assert D > 0 and all(type(v) is int for v in lam)
+            assert [Fraction(v, D) for v in lam] == expected, (rows, weighted)
+        # both outcomes, and LPs with and without unit columns, must be well
+        # represented for the comparison to mean much
+        assert 400 < infeasible < 1600 and 300 < unit < 1800, (infeasible, unit)
 
     def test_bland_breaks_equal_ratios_by_least_basic_column(self):
-        # entering column 0 ties rows 1 and 2 at ratio 1/2; row 2's basic
-        # column (2) is below row 1's artificial, so row 2 leaves.  Breaking
-        # ties the other way ends at the other vertex (0, 0, 2, 1, 0).
-        rows = [(1, 0, 0, 2, 1), (2, 0, 0, 1, -1), (2, 2, 1, -1, 2)]
-        rhs = (2, 1, 1)
-        expected = [Fraction(0), Fraction(1), Fraction(0), Fraction(1), Fraction(0)]
-        assert solve_nonneg_fraction(rows, rhs) == expected
-        assert _as_fractions(solve_nonneg(rows, rhs)) == expected
-
-    @pytest.mark.parametrize(
-        "rows, rhs, expected, certificate",
-        [
-            # columns 0 and 1 are the same unit column of row 0: the lower
-            # one is basic, so x0 carries the rhs and x1 stays 0
-            ([(1, 1, 0, 2), (0, 0, 1, 1)], (3, 2), ([3, 0, 2, 0], 1), []),
-            # column 0 is a unit column of row 0 only after the row's sign
-            # flip for its negative rhs
-            ([(-1, 2, 0), (0, 1, 1)], (-2, 3), ([2, 0, 3], 1), []),
-            # the same, infeasible: the certificate weighs the crash row in
-            # its given sign
-            ([(-1, 0, -1), (0, -1, 1)], (-1, 2), None, [1, 1]),
-            # row 0 has no unit column and starts on an artificial
-            ([(2, 3, 0), (1, 1, 1)], (5, 2), ([1, 1, 0], 1), []),
-            ([(2, 3, 0), (1, 1, 1)], (5, 1), None, [1, -3]),
-        ],
-    )
-    def test_crash_basis(self, rows, rhs, expected, certificate):
-        found: list = []
-        result = solve_nonneg(rows, rhs, found)
-        assert result == expected
-        assert _as_fractions(result) == solve_nonneg_fraction(rows, rhs)
-        assert found == certificate
-        if certificate:
-            # a Farkas certificate: y^T A <= 0 and y^T b > 0
-            assert all(sum(v * row[j] for v, row in zip(found, rows)) <= 0 for j in range(len(rows[0])))
-            assert sum(v * b for v, b in zip(found, rhs)) > 0
-
-    def test_no_artificials_returns_unit_denominator(self):
-        y, D = solve_nonneg([(1, 0, 2), (0, 1, 3)], (4, 5))
-        assert (y, D) == ([4, 5, 0], 1)
-        assert all(type(v) is int for v in y)
-
-    def test_empty_system(self):
-        assert solve_nonneg([], []) == ([], 1)
+        # balance((-2, -2), (-1, 0), (-1, 2), (2, 1)) weighing the last row.
+        # After column 2 enters, entering column 3 ties rows 0 and 1 at
+        # ratio 0; row 1's basic column (2) is below row 0's artificial, so
+        # row 1 leaves.  Breaking ties the other way ends at lam (5, 0, 2, 6).
+        A = [[-2, -1, -1, 2], [-2, 0, 2, 1], [0, 0, 0, 1]]
+        expected = [Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1)]
+        assert solve_nonneg_fraction(A, (0, 0, 1)) == expected
+        assert solve_nonneg(A) == [1, 2, 0, 2]
 
 
 def _random_cone(rng: random.Random) -> LinearSystem:
@@ -378,6 +351,18 @@ def _random_cone(rng: random.Random) -> LinearSystem:
         rows.append(tuple(-sum(c * r[i] for c, r in zip(coeffs, group)) for i in range(m)))
     eqs = [tuple(rng.randint(-2, 2) for _ in range(m))] if rng.random() < 0.2 else []
     return LinearSystem.make(m, eqs, rows)
+
+
+def _orthant_cone(rng: random.Random) -> LinearSystem:
+    """m 3-5; coordinate rows e_i next to random rows, and a negated
+    combination of one e_i and one random row.  That makes e_i an implicit
+    equality, so it stays in the next LP unweighted: a unit column."""
+    m = rng.randint(3, 5)
+    units = [tuple(int(i == k) for i in range(m)) for k in rng.sample(range(m), rng.randint(1, m))]
+    others = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(1, m))]
+    u, r = rng.choice(units), rng.choice(others)
+    cu, cr = rng.randint(1, 2), rng.randint(1, 2)
+    return LinearSystem.make(m, (), units + others + [tuple(-cu * a - cr * b for a, b in zip(u, r))])
 
 
 def _pair_cone_sample(rng: random.Random) -> LinearSystem:
@@ -406,8 +391,11 @@ class TestFarkasLoop:
 
     def test_matches_per_candidate_analysis(self, monkeypatch):
         solves: list[bool] = []
+        unit_lps = 0
 
         def recording(rows, weighted, point=None):
+            nonlocal unit_lps
+            unit_lps += _has_unit_column(_balance_lp(rows, weighted))
             result = balance(rows, weighted, point)
             solves.append(result is not None)
             return result
@@ -415,6 +403,7 @@ class TestFarkasLoop:
         monkeypatch.setattr(exactgeom, "balance", recording)
         rng = random.Random(1313)
         systems = [_random_cone(rng) for _ in range(600)] + [_pair_cone_sample(rng) for _ in range(150)]
+        systems += [_orthant_cone(rng) for _ in range(80)]
         rounds: dict[tuple[int, bool], int] = {}
         independent = 0
         for s in systems:
@@ -442,6 +431,8 @@ class TestFarkasLoop:
         assert rounds[2, True] >= 10 and rounds[2, False] >= 5, rounds
         assert rounds[0, True] >= 100 and rounds[1, True] >= 50 and rounds[1, False] >= 50, rounds
         assert independent >= 100, independent
+        # LPs with an unweighted unit row e_i
+        assert unit_lps >= 50, unit_lps
 
     def test_infeasible_strict_lp_gives_a_farkas_certificate(self):
         rng = random.Random(4242)
@@ -474,35 +465,21 @@ class TestFarkasLoop:
 
     def test_solve_nonneg_fills_the_certificate_only_when_infeasible(self):
         rng = random.Random(5150)
-        # infeasible systems whose certificate weighs a row that starts on a
-        # crash column, and one whose rhs entry is negative: the two places
-        # where reading the multiplier off the objective row differs
-        crash = negative = infeasible = 0
-        for k in range(2000):
-            rows, rhs = _random_system(rng, feasible=k % 2 == 0)
-            # the same system with a unit column planted for one row, which
-            # the crash basis then takes (after the row's sign flip)
-            r = rng.randrange(len(rows))
-            planted = [row + [(-1 if rhs[r] < 0 else 1) * (i == r)] for i, row in enumerate(rows)]
-            for rows in (rows, planted):
-                certificate: list = []
-                if solve_nonneg(rows, rhs, certificate) is not None:
-                    assert certificate == []
-                    continue
-                infeasible += 1
-                y = certificate
-                assert len(y) == len(rows) and all(type(v) is int for v in y)
-                assert all(sum(v * row[j] for v, row in zip(y, rows)) <= 0 for j in range(len(rows[0]))), (rows, rhs, y)
-                assert sum(v * b for v, b in zip(y, rhs)) > 0, (rows, rhs, y)
-                for i, row in enumerate(rows):
-                    sign = -1 if rhs[i] < 0 else 1
-                    unit = any(
-                        sign * row[j] == 1 and all(other[j] == 0 for other in rows if other is not row)
-                        for j in range(len(row))
-                    )
-                    crash += bool(unit and y[i])
-                    negative += bool(rhs[i] < 0 and y[i])
-        assert infeasible >= 400 and crash >= 30 and negative >= 400, (infeasible, crash, negative)
+        infeasible = unit = 0
+        for _ in range(2000):
+            rows, weighted = _random_balance_rows(rng)
+            A = _balance_lp(rows, weighted)
+            z: list = []
+            if solve_nonneg(A, z) is not None:
+                assert z == []
+                continue
+            infeasible += 1
+            unit += _has_unit_column(A)
+            assert len(z) == len(A) and all(type(v) is int for v in z)
+            # z^T A <= 0 and z^T (0, ..., 0, 1) > 0: no x >= 0 solves the LP
+            assert all(dot(z, col) <= 0 for col in zip(*A)), (rows, weighted, z)
+            assert z[-1] > 0, (rows, weighted, z)
+        assert infeasible >= 400 and unit >= 100, (infeasible, unit)
 
 
 def _random_matrix(rng: random.Random) -> list[list[int]]:
