@@ -26,6 +26,16 @@ from typing import Iterable, Optional, Sequence
 IntRow = tuple[int, ...]
 
 
+def int_entries(values: Iterable, what: str) -> IntRow:
+    """The entries as plain ints by ``operator.index``: numpy integers pass,
+    and a float or Fraction entry is a ValueError instead of being truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} {values} has a non-integer entry") from None
+
+
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
@@ -123,11 +133,7 @@ def _primitive_rows(rows: Iterable[Sequence[int]], dim: int) -> list[IntRow]:
     for row in rows:
         if len(row) != dim:
             raise ValueError(f"row {tuple(row)} has length {len(row)}, expected {dim}")
-        try:
-            ints = [operator.index(x) for x in row]
-        except TypeError:
-            raise ValueError(f"row {tuple(row)} has a non-integer entry") from None
-        prim = primitive_vector(ints)
+        prim = primitive_vector(int_entries(row, "row"))
         if prim is not None:
             out.append(prim)
     return out

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .exactgeom import int_entries
 from .laurent import FactorList, LaurentPolynomial
 from .slopes import detect_boundary_coordinates
 from .sphdual import spherical_dual
@@ -34,8 +35,9 @@ class TorusKnotParams:
     q: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", abs(int(self.p)))
-        object.__setattr__(self, "q", abs(int(self.q)))
+        p, q = int_entries((self.p, self.q), "torus knot")
+        object.__setattr__(self, "p", abs(p))
+        object.__setattr__(self, "q", abs(q))
         if self.p < 2 or self.q < 2:
             raise ValueError(f"({self.p}, {self.q}) is not a nontrivial torus knot")
         if gcd(self.p, self.q) != 1:

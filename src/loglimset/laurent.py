@@ -25,6 +25,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .exactgeom import int_entries
+
 ExponentVector = tuple[int, ...]
 
 # Exponents are kept well inside machine-word range; coefficients are
@@ -75,7 +77,7 @@ class LaurentPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[ExponentVector, Fraction] = {}
         for exps, coeff in items:
-            key = tuple(int(e) for e in exps)
+            key = int_entries(exps, "exponent vector")
             if len(key) != m:
                 raise ValueError(f"exponent vector {key} has length {len(key)}, expected {m}")
             for e in key:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import mul, sub
 from typing import Iterable
 
-from .exactgeom import balance, exact_rank
+from .exactgeom import balance, int_entries, exact_rank
 from .laurent import ExponentVector, LaurentPolynomial
 
 _PREFILTER_DIM_LIMIT = 4
@@ -46,7 +46,7 @@ def _sweep_directions(dim: int) -> list[tuple[int, ...]]:
 
 def extreme_points(points: Iterable[ExponentVector], dim: int) -> frozenset[ExponentVector]:
     """The vertices of the convex hull of a finite lattice point set."""
-    pts = sorted({tuple(int(x) for x in p) for p in points})
+    pts = sorted({int_entries(p, "point") for p in points})
     for p in pts:
         if len(p) != dim:
             raise ValueError(f"point {p} has length {len(p)}, expected {dim}")

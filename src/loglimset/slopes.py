@@ -24,12 +24,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .exactgeom import int_entries
 from .sphdual import RationalDirection, SphericalComplex, rational_points
 
 
 def apply_T(xi: Sequence[int], h: int) -> RationalDirection:
     """Blockwise quarter turn: each pair (a, b) maps to (b, -a)."""
-    vec = tuple(int(x) for x in xi)
+    vec = int_entries(xi, "direction")
     if len(vec) != 2 * h:
         raise ValueError(f"direction has length {len(vec)}, expected {2 * h}")
     out: list[int] = []
@@ -77,7 +78,7 @@ class BoundaryCurveCoordinate:
 
 def canonicalize(vector: Sequence[int]) -> BoundaryCurveCoordinate:
     """Canonical representative of an integer vector in the quotient sphere."""
-    vec = [int(x) for x in vector]
+    vec = int_entries(vector, "vector")
     if not vec or len(vec) % 2:
         raise ValueError("vector length must be a positive even number")
     if not any(vec):

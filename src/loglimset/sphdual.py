@@ -21,6 +21,7 @@ from .exactgeom import (
     LinearSystem,
     cone_contains,
     cone_dimension,
+    int_entries,
     interior_point,
     rref,
 )
@@ -183,7 +184,7 @@ def contains(complex_: SphericalComplex, xi: Sequence[int]) -> bool:
     Exact row checks against the cells; the full sphere's one cell has no
     rows, so it contains every direction.
     """
-    vec = tuple(int(x) for x in xi)
+    vec = int_entries(xi, "direction")
     if len(vec) != complex_.dim:
         raise ValueError(f"direction has length {len(vec)}, expected {complex_.dim}")
     if not any(vec):
@@ -215,28 +216,15 @@ _BLOCK_LIMIT = 2_500  # grid vectors held in one allocation, over all cells of a
 
 
 def _grid_blocks(dim: int, height: int):
-    """[-height, height]^dim in lex order, in blocks of at most ``_BLOCK_LIMIT``
-    vectors, so memory stays bounded for every dim.
-
-    A block fixes the leading coordinates, takes a run of values of the next
-    one and every value of the trailing ones, so even a single coordinate's
-    range is cut into runs when it is longer than the limit.
+    """[-height, height]^dim in lex order, as runs of at most ``_BLOCK_LIMIT``
+    flat indices, so memory stays bounded for every dim.  numpy cannot index
+    a grid of more than 2^63 vectors: it raises ``ValueError`` at the first block.
     """
-    side = 2 * height + 1
-    inner = 0  # trailing coordinates that run in full inside a block
-    while inner < dim - 1 and side ** (inner + 1) <= _BLOCK_LIMIT:
-        inner += 1
-    step = max(1, _BLOCK_LIMIT // side**inner)
-    rest = np.indices((side,) * inner, dtype=np.int64).reshape(inner, side**inner).T - height
-    for head in itertools.product(range(-height, height + 1), repeat=dim - 1 - inner):
-        for lo in range(-height, height + 1, step):
-            run = np.arange(lo, min(lo + step, height + 1), dtype=np.int64)
-            n = len(run) * len(rest)
-            yield np.hstack([
-                np.full((n, len(head)), head, dtype=np.int64),
-                np.repeat(run, len(rest))[:, None],
-                np.tile(rest, (len(run), 1)),
-            ])
+    shape = (2 * height + 1,) * dim
+    total = shape[0] ** dim
+    for lo in range(0, total, _BLOCK_LIMIT):
+        flat = np.arange(lo, min(lo + _BLOCK_LIMIT, total))
+        yield np.transpose(np.unravel_index(flat, shape)) - height
 
 
 def _lift(cell: LinearSystem) -> tuple[list[list[int]], list[int], list]:
@@ -284,23 +272,35 @@ def _stack_points(stack: list, height: int):
         yield points.transpose(0, 2, 1)[ok]
 
 
+def _ray_points(cell: LinearSystem) -> tuple[RationalDirection, ...]:
+    """The primitive lattice points of a cell of cone dimension 1: its
+    primitive generator, and the negation too when the cell is a line."""
+    v = interior_point(cell)
+    neg = tuple(-x for x in v)
+    return (v, neg) if cell.satisfied_by(neg) else (v,)
+
+
 def rational_points(complex_: SphericalComplex, height: int) -> tuple[RationalDirection, ...]:
     """Every primitive direction of max-norm <= height in the complex, in lex order.
 
-    Each cell is walked through the k coordinates its equalities leave free,
-    (2h+1)^k vectors whatever the ambient dimension m (k is the cell's
-    dimension unless an inequality hides an equality).  Only the full sphere
-    walks the whole space, the cell with no rows: (2h+1)^m.  The cells of one
-    k are walked together as a stack of arrays.  One bound, ``_BLOCK_LIMIT``
-    grid vectors per stack and block, caps the memory for every k and height.
+    A ray or a line (cone dimension 1) holds only plus and minus its
+    generator, read off at any height.  Every other cell is walked through
+    the k coordinates its equalities leave free, (2h+1)^k vectors (the full
+    sphere, with no rows: (2h+1)^m), the cells of one k as one stack of
+    arrays in blocks of at most ``_BLOCK_LIMIT`` grid vectors.  A grid of
+    more than 2^63 vectors cannot be indexed and raises ``ValueError``.
     """
+    (height,) = int_entries((height,), "height")
     if height < 1:
         raise ValueError("height must be positive")
+    found: set[RationalDirection] = set()
     by_free: dict[int, list] = {}
     for cell in complex_.cells:
+        if cone_dimension(cell) == 1:
+            found.update(p for p in _ray_points(cell) if max(map(abs, p)) <= height)
+            continue
         lifted = _lift(cell)
         by_free.setdefault(len(lifted[0][0]), []).append((cell, *lifted))
-    found: set[RationalDirection] = set()
     for k, group in by_free.items():
         size = max(1, _BLOCK_LIMIT // (2 * height + 1) ** k)  # cells per stack
         for start in range(0, len(group), size):
@@ -322,15 +322,5 @@ def max_cell_dimension(complex_: SphericalComplex) -> int | None:
 
 def ray_directions(complex_: SphericalComplex) -> tuple[RationalDirection, ...]:
     """Primitive generators of all one-dimensional cells (rays and lines)."""
-    out: set[RationalDirection] = set()
-    for cell in complex_.cells:
-        if cone_dimension(cell) != 1:
-            continue
-        v = interior_point(cell)
-        if v is None:
-            continue
-        out.add(v)
-        neg = tuple(-x for x in v)
-        if cell.satisfied_by(neg):
-            out.add(neg)
-    return tuple(sorted(out))
+    rays = (cell for cell in complex_.cells if cone_dimension(cell) == 1)
+    return tuple(sorted({p for cell in rays for p in _ray_points(cell)}))

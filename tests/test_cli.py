@@ -150,6 +150,15 @@ class TestSlopes:
         lib = detect_boundary_coordinates(loglim_outer(gens), 4)
         assert payload["coordinates"] == sorted(list(c.entries) for c in lib)
 
+    def test_grid_too_large_to_index_is_a_json_error(self, capsys, tmp_path):
+        # the whole sphere of four variables at height 30 000: 60 001^4 > 2^63 vectors
+        path = tmp_path / "zero.txt"
+        path.write_text("0\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["slopes", str(path), "--vars", "m1,l1,m2,l2", "--height", "30000"])
+        assert rc == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError" and "too large" in payload["message"]
+
 
 class TestTorusknot:
     TEXT_GOLDEN = (

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from conftest import load_bench_module, primitive_vectors_py, support_max_twice
@@ -23,6 +24,7 @@ class TestParams:
         k = TorusKnotParams(-2, 3)
         assert (k.p, k.q) == (2, 3)
         assert k.pq == 6
+        assert TorusKnotParams(np.int64(2), np.int64(-3)) == k
 
     def test_rejects_trivial_and_non_coprime(self):
         with pytest.raises(ValueError):
@@ -31,6 +33,11 @@ class TestParams:
             TorusKnotParams(2, 4)
         with pytest.raises(ValueError):
             TorusKnotParams(0, 3)
+
+    @pytest.mark.parametrize("p, q", [(2.5, 3), (2, 3.0), (Fraction(5, 2), 7)])
+    def test_parameters_must_be_integers(self, p, q):
+        with pytest.raises(ValueError, match="non-integer"):
+            TorusKnotParams(p, q)
 
 
 class TestAPolynomial:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_laurent
@@ -100,6 +101,12 @@ class TestArithmetic:
     def test_add_cancellation(self):
         x = parse("x", ("x",))
         assert (x + (-x)).is_zero()
+
+    @pytest.mark.parametrize("exponents", [(1.5, 0), (1, Fraction(1, 2)), (2.0, 1)])
+    def test_exponents_must_be_integers(self, exponents):
+        with pytest.raises(ValueError, match="non-integer"):
+            LaurentPolynomial(("x", "y"), {exponents: 1})
+        assert LaurentPolynomial(("x", "y"), {tuple(np.array([2, -1])): 3}) == parse("3*x^2*y^-1", ("x", "y"))
 
     def test_variable_lists_must_match(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@ import dataclasses
 import itertools
 import json
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import in_convex_hull_fraction, load_bench_module, random_laurent
@@ -139,6 +141,12 @@ class TestExtremePoints:
     def test_collinear(self):
         pts = [(0, 0), (1, 1), (2, 2), (3, 3)]
         assert extreme_points(pts, 2) == {(0, 0), (3, 3)}
+        assert extreme_points(np.array(pts), 2) == {(0, 0), (3, 3)}
+
+    @pytest.mark.parametrize("point", [(0.5, 1), (1, Fraction(3, 2)), (2.0, 2)])
+    def test_entries_must_be_integers(self, point):
+        with pytest.raises(ValueError, match="non-integer"):
+            extreme_points([(0, 0), point, (3, 1)], 2)
 
     def test_full_dimensional_supports_pass_the_newton_oracle(self):
         # the benchmark's newton oracle certifies each vertex by its facets;

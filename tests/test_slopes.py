@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import load_bench_module, random_laurent, split_link_generators
@@ -23,6 +24,7 @@ class TestApplyT:
     def test_single_pair(self):
         assert apply_T((3, 5), 1) == (5, -3)
         assert apply_T((1, 0), 1) == (0, -1)
+        assert apply_T(np.array([3, 5]), 1) == (5, -3)
 
     def test_blockwise(self):
         assert apply_T((0, 1, 0, -1), 2) == (1, 0, -1, 0)
@@ -30,6 +32,11 @@ class TestApplyT:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             apply_T((1, 0, 0), 1)
+
+    @pytest.mark.parametrize("xi", [(0.5, 2.9), (Fraction(7, 2), 1), (2.0, 1)])
+    def test_entries_must_be_integers(self, xi):
+        with pytest.raises(ValueError, match="non-integer"):
+            apply_T(xi, 1)
 
     def test_fourth_power_is_identity(self):
         rng = random.Random(3)
@@ -49,6 +56,7 @@ class TestCanonicalize:
         # gcd division comes first, then the pair flip
         assert canonicalize((0, -3)).entries == (0, 1)
         assert canonicalize((0, 3)).entries == (0, 1)
+        assert canonicalize(np.array([-6, -1])).entries == (6, 1)
 
     def test_idempotent(self):
         rng = random.Random(9)
@@ -80,6 +88,11 @@ class TestCanonicalize:
             canonicalize((0, 0))
         with pytest.raises(ValueError):
             canonicalize((1, 2, 3))
+
+    @pytest.mark.parametrize("vector", [(2.5, -1.2), (Fraction(1, 2), 1), (2, -1.0)])
+    def test_entries_must_be_integers(self, vector):
+        with pytest.raises(ValueError, match="non-integer"):
+            canonicalize(vector)
 
 
 class TestDetection:

@@ -1,7 +1,9 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -13,7 +15,7 @@ from conftest import (
     support_max_twice,
 )
 from loglimset import sphdual
-from loglimset.exactgeom import LinearSystem, rref
+from loglimset.exactgeom import LinearSystem, cone_dimension, rref
 from loglimset.laurent import LaurentPolynomial, parse
 from loglimset.loglim import loglim_outer
 from loglimset.sphdual import (
@@ -130,6 +132,12 @@ class TestContains:
             contains(c, (0, 0))
         with pytest.raises(ValueError):
             contains(c, (1, 2, 3))
+        assert contains(c, np.array([5, 5]))
+
+    @pytest.mark.parametrize("xi", [(1.7, 1.2), (Fraction(1, 2), 1), (1.0, 1)])
+    def test_entries_must_be_integers(self, xi):
+        with pytest.raises(ValueError, match="non-integer"):
+            contains(spherical_dual(parse("x+y+1", ("x", "y"))), xi)
 
     def test_matches_support_oracle(self):
         rng = random.Random(23)
@@ -231,6 +239,13 @@ class TestRationalPoints:
         )
         assert rational_points(spherical_dual(f), 5) == expected
 
+    @pytest.mark.parametrize("height", [2.5, Fraction(5, 2), 2.0, "2"])
+    def test_height_must_be_an_integer(self, height):
+        c = spherical_dual(parse("x+y+1", ("x", "y")))
+        with pytest.raises(ValueError, match="non-integer"):
+            rational_points(c, height)
+        assert rational_points(c, np.int64(2)) == rational_points(c, 2)
+
     def test_primitive_directions_counts(self):
         assert len(rational_points(SphericalComplex.full(2), 1)) == 8
         assert len(rational_points(SphericalComplex.full(2), 2)) == len(primitive_vectors_py(2, 2)) == 16
@@ -293,24 +308,18 @@ class TestCellEnumeration:
             xi for xi in primitive_vectors_py(4, 4) if any(cell.satisfied_by(xi) for cell in cells)
         )
 
-    def test_ray_cells_are_walked_in_bounded_blocks(self, monkeypatch):
-        # a cell with one free coordinate must split that coordinate's range too
-        limit = 40
-        monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", limit)
+    def test_ray_cells_are_read_not_walked(self, monkeypatch):
+        # a cell of cone dimension 1 holds at most plus and minus its
+        # generator, so no stack and no grid block is built for it
+        monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", 40)
         walks = []
-        stack_points, grid_blocks = sphdual._stack_points, sphdual._grid_blocks
 
-        def spy_stack(stack, height):
-            walks.append((len(stack), []))
-            yield from stack_points(stack, height)
+        def spy(*args):
+            walks.append(args)
+            return iter(())
 
-        def spy_blocks(dim, height):
-            for block in grid_blocks(dim, height):
-                walks[-1][1].append(len(block))
-                yield block
-
-        monkeypatch.setattr(sphdual, "_stack_points", spy_stack)
-        monkeypatch.setattr(sphdual, "_grid_blocks", spy_blocks)
+        monkeypatch.setattr(sphdual, "_stack_points", spy)
+        monkeypatch.setattr(sphdual, "_grid_blocks", spy)
         rays = SphericalComplex(2, cells=[
             LinearSystem.make(2, [(1, -2)], [(0, 1)]),
             LinearSystem.make(2, [(0, 1)], []),
@@ -318,8 +327,59 @@ class TestCellEnumeration:
         ])
         got = rational_points(rays, 100)
         assert got == rational_points_grid(rays, 100) == ((-7, 3), (-1, 0), (1, 0), (2, 1))
-        assert len(walks) == 3 and sum(n for _, sizes in walks for n in sizes) == 3 * 201
-        assert all(n * size <= limit for n, sizes in walks for size in sizes)
+        assert walks == []
+
+    def test_ray_and_line_cells_match_grid_reference(self):
+        rng = random.Random(24)
+        complexes = [spherical_dual(random_laurent(rng, ("x", "y"), max_terms=6)) for _ in range(30)]
+        complexes += [
+            # a ray taller than most heights, beside a line
+            SphericalComplex(2, cells=[
+                LinearSystem.make(2, [(7, 2)], [(0, 1)]),
+                LinearSystem.make(2, [(1, 1)], []),
+            ]),
+            # x >= 0, y - x >= 0, -y >= 0 hide the equalities x = y = 0: the
+            # z-axis line, with all three coordinates free
+            SphericalComplex(3, cells=[LinearSystem.make(3, [], [(1, 0, 0), (-1, 1, 0), (0, -1, 0)])]),
+            # u = x - 2z >= 0, v - u >= 0, -v >= 0 for v = y + z hide u = v = 0:
+            # the ray through (2, -1, 1), with three free coordinates, beside a plane
+            SphericalComplex(3, cells=[
+                LinearSystem.make(3, [], [(1, 0, -2), (-1, 1, 3), (0, -1, -1), (0, 0, 1)]),
+                LinearSystem.make(3, [(1, 1, 1)], []),
+            ]),
+        ]
+        assert rational_points(complexes[-3], 6) == ((-1, 1), (1, -1))
+        assert rational_points(complexes[-3], 7) == ((-2, 7), (-1, 1), (1, -1))
+        assert rational_points(complexes[-2], 1) == ((0, 0, -1), (0, 0, 1))
+        assert (2, -1, 1) not in rational_points(complexes[-1], 1)
+        assert (2, -1, 1) in rational_points(complexes[-1], 2)
+        for c in complexes:
+            for height in range(1, 13):
+                assert rational_points(c, height) == rational_points_grid(c, height), (c.cells, height)
+
+    def test_ray_directions_are_the_rays_of_rational_points(self):
+        rng = random.Random(25)
+        variables = ("x", "y", "z")
+        found_in_3 = 0
+        for trial in range(40):
+            m = 2 + trial % 2
+            c = spherical_dual(random_laurent(rng, variables[:m], max_terms=6))
+            if m == 3:
+                c = intersect(c, spherical_dual(random_laurent(rng, variables, max_terms=6)))
+            rays = ray_directions(c)
+            height = max((max(map(abs, r)) for r in rays), default=1)
+            one_dimensional = SphericalComplex(m, [cell for cell in c.cells if cone_dimension(cell) == 1])
+            assert rays == rational_points(one_dimensional, height), trial
+            found_in_3 += m == 3 and bool(rays)
+        assert found_in_3 >= 5
+
+    def test_grid_too_large_to_index_is_refused(self):
+        # (2 * 2_000_000 + 1)^3 > 2^63: the walk is refused, not started
+        with pytest.raises(ValueError, match="too large"):
+            next(sphdual._grid_blocks(3, 2_000_000))
+        with pytest.raises(ValueError, match="too large"):
+            rational_points(SphericalComplex.full(3), 2_000_000)
+        assert rational_points(SphericalComplex.full(1), 2**62) == ((-1,), (1,))
 
     def test_grid_blocks_are_bounded_and_in_lex_order(self, monkeypatch):
         monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", 40)
