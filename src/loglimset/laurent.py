@@ -12,17 +12,21 @@ The concrete text grammar accepted by :func:`parse` is
     factor := NUMBER | VAR ('^' SINT)? | '(' expr ')'
     NUMBER := INT ('/' INT)?          SINT := '-'? INT
 
-with whitespace ignored and parentheses nested at most ``MAX_NESTING``
-levels deep.  ``render`` emits terms in graded-lexicographic exponent order
-(highest first) with explicit '*' and '^', and its output always reparses
-to the same polynomial.
+with whitespace ignored, INT the ASCII digits ``[0-9]+`` and parentheses
+nested at most ``MAX_NESTING`` levels deep.  Parsing is one pass into a term
+map with int coefficients (Fraction only for ``a/b``), linear in the input.
+``render`` emits terms in graded-lexicographic exponent order (highest
+first) with explicit '*' and '^', and its output always reparses to the
+same polynomial.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactgeom import int_entries
@@ -60,8 +64,43 @@ def _checked_exponent(e: int) -> int:
     return e
 
 
+def _rational(value: int | Fraction) -> Fraction:
+    """``value`` as a Fraction: an int, a numpy integer or a Fraction; a
+    float, string or complex is a ValueError instead of being converted."""
+    try:
+        return value if isinstance(value, Fraction) else Fraction(operator.index(value))
+    except TypeError:
+        raise ValueError(f"coefficient {value!r} is not an integer or a Fraction") from None
+
+
+def _accumulate(out: dict, terms: Mapping, sign: int = 1) -> dict:
+    """Add ``sign * terms`` into ``out`` in place.  Term maps {exponent vector:
+    nonzero coefficient} are the arithmetic kernel of the parser and the ring
+    operations; a sum that cancels deletes its key, to be re-inserted last."""
+    for e, c in terms.items():
+        c = out.get(e, 0) + c if sign > 0 else out.get(e, 0) - c
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
+
+
+def _product(a: Mapping, b: Mapping) -> dict:
+    """The product term map: each term of ``a`` in order times ``b``'s terms
+    in order; exponents are checked only when they could exceed the bound."""
+    wide = 2 * max(map(abs, chain(*a, *b)), default=0) > MAX_EXPONENT
+    add = (lambda x, y: _checked_exponent(x + y)) if wide else operator.add
+    out: dict = {}
+    for ea, ca in a.items():
+        _accumulate(out, {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()})
+    return out
+
+
 class LaurentPolynomial:
-    """Immutable Laurent polynomial with exact rational coefficients."""
+    """Immutable Laurent polynomial with exact rational coefficients, given as
+    ints, numpy integers or Fractions (a float, string or complex is a
+    ValueError) and stored as nonzero Fractions."""
 
     __slots__ = ("_variables", "_terms")
 
@@ -82,11 +121,8 @@ class LaurentPolynomial:
                 raise ValueError(f"exponent vector {key} has length {len(key)}, expected {m}")
             for e in key:
                 _checked_exponent(e)
-            c = clean.get(key, Fraction(0)) + Fraction(coeff)
-            if c:
-                clean[key] = c
-            elif key in clean:
-                del clean[key]
+            if coeff := _rational(coeff):
+                _accumulate(clean, {key: coeff})
         self._variables = vars_tuple
         self._terms = clean
 
@@ -99,8 +135,7 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, variables: Sequence[str], value: int | Fraction) -> "LaurentPolynomial":
-        m = len(tuple(variables))
-        return cls(variables, {(0,) * m: Fraction(value)})
+        return cls(variables, {(0,) * len(tuple(variables)): value})
 
     @classmethod
     def parse(cls, text: str, variables: Sequence[str]) -> "LaurentPolynomial":
@@ -150,52 +185,32 @@ class LaurentPolynomial:
                 f"variable lists differ: {self._variables} vs {other._variables}"
             )
 
-    def __add__(self, other: "LaurentPolynomial | int | Fraction") -> "LaurentPolynomial":
+    def __add__(self, other: "LaurentPolynomial | int | Fraction", sign: int = 1) -> "LaurentPolynomial":
         if not isinstance(other, LaurentPolynomial):
             other = LaurentPolynomial.constant(self._variables, other)
         self._require_same_variables(other)
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            c = out.get(exps, Fraction(0)) + coeff
-            if c:
-                out[exps] = c
-            elif exps in out:
-                del out[exps]
-        return LaurentPolynomial._of(self._variables, out)
+        return LaurentPolynomial._of(self._variables, _accumulate(dict(self._terms), other._terms, sign))
 
-    def __radd__(self, other: int | Fraction) -> "LaurentPolynomial":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial._of(self._variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPolynomial | int | Fraction") -> "LaurentPolynomial":
-        if not isinstance(other, LaurentPolynomial):
-            other = LaurentPolynomial.constant(self._variables, other)
-        return self.__add__(-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other: int | Fraction) -> "LaurentPolynomial":
         return (-self).__add__(other)
 
     def __mul__(self, other: "LaurentPolynomial | int | Fraction") -> "LaurentPolynomial":
         if not isinstance(other, LaurentPolynomial):
-            scalar = Fraction(other)
+            scalar = _rational(other)
             terms = {e: c * scalar for e, c in self._terms.items()} if scalar else {}
             return LaurentPolynomial._of(self._variables, terms)
         self._require_same_variables(other)
-        out: dict[ExponentVector, Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                key = tuple(_checked_exponent(x + y) for x, y in zip(ea, eb))
-                c = out.get(key, Fraction(0)) + ca * cb
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
-        return LaurentPolynomial._of(self._variables, out)
+        return LaurentPolynomial._of(self._variables, _product(self._terms, other._terms))
 
-    def __rmul__(self, other: int | Fraction) -> "LaurentPolynomial":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPolynomial):
@@ -281,116 +296,107 @@ def parse(text: str, variables: Sequence[str]) -> LaurentPolynomial:
     return LaurentPolynomial.parse(text, variables)
 
 
-_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
+_TOKEN_RE = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
 
 class _Parser:
+    """Recursive descent straight into term maps: a number or variable is a
+    one-term map with an int coefficient (a Fraction for ``a/b``), a product
+    is ``_product`` in factor order, and a sum accumulates its signed terms
+    in place.  These are the ring operations' steps in their order, so the
+    insertion order is theirs.  ``parse`` wraps the result once."""
+
     def __init__(self, text: str, variables: tuple[str, ...]):
-        self.text = text
         self.variables = variables
+        self.index = {v: i for i, v in enumerate(variables)}
+        self.origin = (0,) * len(variables)
         self.tokens: list[tuple[str, str, int]] = []
         for match in _TOKEN_RE.finditer(text):
             kind = match.lastgroup or "bad"
             if kind == "bad":
                 raise ParseError(f"unexpected character {match.group()!r}", match.start())
             self.tokens.append((kind, match.group(), match.start()))
+        # every path that consumes this sentinel raises at once
+        self.tokens.append(("end", "", len(text)))
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("end", "", len(self.text))
-
     def advance(self) -> tuple[str, str, int]:
-        tok = self.peek()
         self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, value, at = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}, found {value or 'end of input'!r}", at)
-        self.advance()
+        return self.tokens[self.pos - 1]
 
     def parse(self) -> LaurentPolynomial:
-        if not self.tokens:
+        if len(self.tokens) == 1:
             raise ParseError("empty input", 0)
-        poly = self.parse_expr()
-        kind, value, at = self.peek()
+        terms = self.parse_expr()
+        kind, value, at = self.tokens[self.pos]
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", at)
-        return poly
+        return LaurentPolynomial._of(self.variables, {e: Fraction(c) for e, c in terms.items()})
 
-    def parse_expr(self) -> LaurentPolynomial:
-        sign = 1
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.advance()
-            sign = -1 if value == "-" else 1
-        poly = self.parse_term() * sign
+    # Only an "op" token has a value among "+-*/^()", and only "end" has "".
+
+    def parse_expr(self) -> dict:
+        terms: dict = {}
+        value = self.tokens[self.pos][1]
+        if value in ("+", "-"):
+            self.pos += 1
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                term = self.parse_term()
-                poly = poly + (term if value == "+" else -term)
-            else:
-                return poly
+            _accumulate(terms, self.parse_term(), -1 if value == "-" else 1)
+            value = self.tokens[self.pos][1]
+            if value not in ("+", "-"):
+                return terms
+            self.pos += 1
 
-    def parse_term(self) -> LaurentPolynomial:
-        poly = self.parse_factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                poly = poly * self.parse_factor()
-            else:
-                return poly
+    def parse_term(self) -> dict:
+        terms = self.parse_factor()
+        while self.tokens[self.pos][1] == "*":
+            self.pos += 1
+            terms = _product(terms, self.parse_factor())
+        return terms
 
-    def parse_factor(self) -> LaurentPolynomial:
+    def parse_factor(self) -> dict:
         kind, value, at = self.advance()
-        if kind == "int":
-            numerator = int(value)
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.advance()
-                k3, v3, at3 = self.advance()
-                if k3 != "int":
-                    raise ParseError("expected integer denominator after '/'", at3)
-                if int(v3) == 0:
-                    raise ParseError("zero denominator", at3)
-                return LaurentPolynomial.constant(self.variables, Fraction(numerator, int(v3)))
-            return LaurentPolynomial.constant(self.variables, numerator)
-        if kind == "name":
-            if value not in self.variables:
-                raise UnknownVariableError(f"unknown variable {value!r}", at)
-            exponent = 1
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "^":
-                self.advance()
-                exponent = self.parse_signed_int()
-            exps = tuple(exponent if v == value else 0 for v in self.variables)
-            return LaurentPolynomial(self.variables, {exps: Fraction(1)})
-        if kind == "op" and value == "(":
+        if value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", at)
             self.depth += 1
-            poly = self.parse_expr()
-            self.expect_op(")")
+            terms = self.parse_expr()
+            _, value, at = self.advance()
+            if value != ")":
+                raise ParseError(f"expected ')', found {value or 'end of input'!r}", at)
             self.depth -= 1
-            return poly
-        raise ParseError(f"expected a number, variable or '(', found {value or 'end of input'!r}", at)
-
-    def parse_signed_int(self) -> int:
-        kind, value, at = self.advance()
-        negative = False
-        if kind == "op" and value == "-":
-            negative = True
-            kind, value, at = self.advance()
-        if kind != "int":
-            raise ParseError("expected integer exponent after '^'", at)
-        return _checked_exponent(-int(value) if negative else int(value))
+            return terms
+        if kind == "int":
+            coeff: int | Fraction = int(value)
+            if self.tokens[self.pos][1] == "/":
+                self.pos += 1
+                kind, value, at = self.advance()
+                if kind != "int":
+                    raise ParseError("expected integer denominator after '/'", at)
+                if int(value) == 0:
+                    raise ParseError("zero denominator", at)
+                coeff = Fraction(coeff, int(value))
+            exps = self.origin
+        elif kind == "name":
+            if (i := self.index.get(value)) is None:
+                raise UnknownVariableError(f"unknown variable {value!r}", at)
+            exponent = 1
+            if self.tokens[self.pos][1] == "^":
+                self.pos += 1
+                kind, value, at = self.advance()
+                if negative := value == "-":
+                    kind, value, at = self.advance()
+                if kind != "int":
+                    raise ParseError("expected integer exponent after '^'", at)
+                exponent = _checked_exponent(-int(value) if negative else int(value))
+            exps, coeff = self.origin[:i] + (exponent,) + self.origin[i + 1 :], 1
+        else:
+            raise ParseError(f"expected a number, variable or '(', found {value or 'end of input'!r}", at)
+        # duplicate names are refused at the first number or variable
+        if len(self.index) != len(self.variables):
+            raise ValueError(f"duplicate variable names in {self.variables}")
+        return {exps: coeff} if coeff else {}
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,105 @@ from loglimset.laurent import (
 )
 
 
+# Malformed inputs with the error each raises: type, message and position
+# (None for errors without one).
+BIG = 2**62
+MALFORMED = [
+    ("", ("x",), ParseError, "empty input (at position 0)", 0),
+    ("   ", ("x",), ParseError, "empty input (at position 0)", 0),
+    ("x + * y", ("x", "y"), ParseError, "expected a number, variable or '(', found '*' (at position 4)", 4),
+    ("x + z", ("x", "y"), UnknownVariableError, "unknown variable 'z' (at position 4)", 4),
+    ("1/0", ("x",), ParseError, "zero denominator (at position 2)", 2),
+    ("1/", ("x",), ParseError, "expected integer denominator after '/' (at position 2)", 2),
+    ("1/x", ("x",), ParseError, "expected integer denominator after '/' (at position 2)", 2),
+    ("2^3", ("x",), ParseError, "unexpected '^' (at position 1)", 1),
+    ("x^", ("x",), ParseError, "expected integer exponent after '^' (at position 2)", 2),
+    ("x^-", ("x",), ParseError, "expected integer exponent after '^' (at position 3)", 3),
+    ("x^y", ("x", "y"), ParseError, "expected integer exponent after '^' (at position 2)", 2),
+    ("x^1.5", ("x",), ParseError, "unexpected character '.' (at position 3)", 3),
+    ("(x", ("x",), ParseError, "expected ')', found 'end of input' (at position 2)", 2),
+    ("x)", ("x",), ParseError, "unexpected ')' (at position 1)", 1),
+    ("()", ("x",), ParseError, "expected a number, variable or '(', found ')' (at position 1)", 1),
+    ("x y", ("x", "y"), ParseError, "unexpected 'y' (at position 2)", 2),
+    ("x $ 1", ("x",), ParseError, "unexpected character '$' (at position 2)", 2),
+    ("x**2", ("x",), ParseError, "expected a number, variable or '(', found '*' (at position 2)", 2),
+    ("+-x", ("x",), ParseError, "expected a number, variable or '(', found '-' (at position 1)", 1),
+    ("-", ("x",), ParseError, "expected a number, variable or '(', found 'end of input' (at position 1)", 1),
+    ("x +", ("x",), ParseError, "expected a number, variable or '(', found 'end of input' (at position 3)", 3),
+    ("0*x+", ("x",), ParseError, "expected a number, variable or '(', found 'end of input' (at position 4)", 4),
+    ("(" * 201 + "x" + ")" * 201, ("x",), ParseError, "parentheses nested deeper than 200 levels (at position 200)", 200),
+    ("x*" + "(" * 300, ("x",), ParseError, "parentheses nested deeper than 200 levels (at position 202)", 202),
+    (f"x^{BIG + 1}", ("x",), ExponentOverflowError, f"exponent {BIG + 1} exceeds width bound {BIG}", None),
+    (f"x^{BIG}*x", ("x",), ExponentOverflowError, f"exponent {BIG + 1} exceeds width bound {BIG}", None),
+    (f"x^{BIG}*y*(x+y)", ("x", "y"), ExponentOverflowError, f"exponent {BIG + 1} exceeds width bound {BIG}", None),
+    (f"(x^{BIG}*y^-{BIG})*(x*y^-1)", ("x", "y"), ExponentOverflowError, f"exponent {BIG + 1} exceeds width bound {BIG}", None),
+    (
+        f"(x^{BIG // 2}+y^-{BIG})*(x^{BIG // 2}*y + y^-1)",
+        ("x", "y"),
+        ExponentOverflowError,
+        f"exponent {-BIG - 1} exceeds width bound {BIG}",
+        None,
+    ),
+    # duplicate variables are refused at the first number or known variable
+    ("x", ("x", "x"), ValueError, "duplicate variable names in ('x', 'x')", None),
+    ("1 +", ("x", "x"), ValueError, "duplicate variable names in ('x', 'x')", None),
+    ("-(((x", ("x", "x"), ValueError, "duplicate variable names in ('x', 'x')", None),
+    ("z", ("x", "x"), UnknownVariableError, "unknown variable 'z' (at position 0)", 0),
+    ("(", ("x", "x"), ParseError, "expected a number, variable or '(', found 'end of input' (at position 1)", 1),
+    ("x^", ("x", "x"), ParseError, "expected integer exponent after '^' (at position 2)", 2),
+    (")", ("x", "x"), ParseError, "expected a number, variable or '(', found ')' (at position 0)", 0),
+    ("", ("x", "x"), ParseError, "empty input (at position 0)", 0),
+]
+
+
+def random_expression(rng: random.Random, variables, depth: int) -> tuple[str, LaurentPolynomial]:
+    """Random expression text and its value, built with the ring operations
+    in the order the text is read: the leading sign times the first term,
+    then each signed term, and each term's factors left to right.  Some
+    terms repeat an earlier one with the opposite sign, so sums cancel."""
+    texts: list[str] = []
+    signs: list[str] = []
+    terms: list[tuple[str, LaurentPolynomial]] = []
+    value = None
+    for k in range(rng.randint(1, 4)):
+        if k and rng.random() < 0.3:
+            j = rng.randrange(k)
+            text, term = terms[j]
+            sign = "+" if signs[j] == "-" else "-"
+        else:
+            factors = [random_factor(rng, variables, depth) for _ in range(rng.randint(1, 3))]
+            text = "*".join(t for t, _ in factors)
+            term = factors[0][1]
+            for _, factor in factors[1:]:
+                term = term * factor
+            sign = rng.choice(["", "+", "-"]) if k == 0 else rng.choice("+-")
+        terms.append((text, term))
+        signs.append(sign)
+        texts.append(f"{sign}{rng.choice(['', ' '])}{text}")
+        if k == 0:
+            value = term * (-1 if sign == "-" else 1)
+        else:
+            value = value + term if sign == "+" else value - term
+    return " ".join(texts), value
+
+
+def random_factor(rng: random.Random, variables, depth: int) -> tuple[str, LaurentPolynomial]:
+    kind = rng.random()
+    if depth and kind < 0.3:
+        text, value = random_expression(rng, variables, depth - 1)
+        return f"({text})", value
+    if kind < 0.6:
+        numerator, denominator = rng.randint(0, 9), rng.choice([1, 1, 2, 3, 6])
+        text = f"{numerator}/{denominator}" if rng.random() < 0.3 else str(numerator * denominator)
+        value = Fraction(numerator, denominator) if "/" in text else numerator * denominator
+        return text, LaurentPolynomial.constant(variables, value)
+    i = rng.randrange(len(variables))
+    exponent = rng.randint(-3, 3)
+    text = variables[i] if exponent == 1 and rng.random() < 0.5 else f"{variables[i]}^{exponent}"
+    exps = tuple(exponent if j == i else 0 for j in range(len(variables)))
+    return text, LaurentPolynomial(variables, {exps: 1})
+
+
 class TestParse:
     def test_simple_sum(self):
         f = parse("l*m^6 + 1", ("m", "l"))
@@ -85,6 +184,32 @@ class TestParse:
         assert exc.value.position == 2 + MAX_NESTING
 
 
+    @pytest.mark.parametrize("text, variables, error, message, position", MALFORMED)
+    def test_malformed_input_errors(self, text, variables, error, message, position):
+        with pytest.raises(error) as exc:
+            parse(text, variables)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        assert getattr(exc.value, "position", None) == position
+
+    @pytest.mark.parametrize("text, variables, position", [("x^\u0663 + \u0662*y", ("x", "y"), 2), ("\uff13*x", ("x",), 0)])
+    def test_non_ascii_digits_are_unexpected_characters(self, text, variables, position):
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse(text, variables)
+        assert exc.value.position == position
+
+    def test_random_expressions_match_ring_operations(self):
+        rng = random.Random(2025)
+        for _ in range(400):
+            variables = ("x", "y", "z")[: rng.randint(1, 3)]
+            text, expected = random_expression(rng, variables, depth=3)
+            f = parse(text, variables)
+            assert f == expected, text
+            # the same insertion order, which sample output depends on
+            assert list(f.items()) == list(expected.items()), text
+            assert all(type(c) is Fraction for _, c in f.items())
+
+
 class TestArithmetic:
     def test_mul_expansion(self):
         x_plus_y = parse("x+y", ("x", "y"))
@@ -107,6 +232,37 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="non-integer"):
             LaurentPolynomial(("x", "y"), {exponents: 1})
         assert LaurentPolynomial(("x", "y"), {tuple(np.array([2, -1])): 3}) == parse("3*x^2*y^-1", ("x", "y"))
+
+    @pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", "2", 1j, np.float64(0.5)])
+    def test_coefficients_must_be_exact(self, bad):
+        f = parse("x + 1", ("x",))
+        builds = [
+            lambda: LaurentPolynomial(("x",), {(1,): bad}),
+            lambda: LaurentPolynomial.constant(("x",), bad),
+            lambda: f + bad,
+            lambda: f - bad,
+            lambda: f * bad,
+        ]
+        if not isinstance(bad, np.generic):
+            builds += [lambda: bad + f, lambda: bad - f, lambda: bad * f]
+        for build in builds:
+            with pytest.raises(ValueError, match="is not an integer or a Fraction"):
+                build()
+
+    @pytest.mark.parametrize("good", [3, np.int64(3), np.int8(3), Fraction(3)])
+    def test_exact_coefficients_pass(self, good):
+        f = parse("x + 1", ("x",))
+        assert LaurentPolynomial(("x",), {(1,): good}) == parse("3*x", ("x",))
+        assert LaurentPolynomial.constant(("x",), good) == parse("3", ("x",))
+        assert f + good == parse("x + 4", ("x",))
+        assert f - good == parse("x - 2", ("x",))
+        assert f * good == parse("3*x + 3", ("x",))
+        for g in (LaurentPolynomial(("x",), {(1,): good}), f * good):
+            assert all(type(c) is Fraction and type(c.numerator) is int for _, c in g.items())
+
+    def test_numpy_integer_coefficients_do_not_wrap(self):
+        f = LaurentPolynomial(("x",), {(1,): np.int64(2**62)})
+        assert f * f == LaurentPolynomial(("x",), {(2,): 2**124})
 
     def test_variable_lists_must_match(self):
         with pytest.raises(ValueError):
