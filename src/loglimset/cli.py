@@ -225,11 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="numerically sample a plane curve near infinity")
     add_common(p_sample)
-    p_sample.add_argument("--rho-min", default="1e-8")
-    p_sample.add_argument("--rho-max", default="1e8")
-    p_sample.add_argument("--grid", type=int, default=64)
-    p_sample.add_argument("--phases", type=int, default=4)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--rho-min", default=SampleParams.rho_min)
+    p_sample.add_argument("--rho-max", default=SampleParams.rho_max)
+    p_sample.add_argument("--grid", type=int, default=SampleParams.grid)
+    p_sample.add_argument("--phases", type=int, default=SampleParams.phases)
+    p_sample.add_argument("--seed", type=int, default=SampleParams.seed)
     p_sample.add_argument("--format", choices=("csv", "plotdata"), default="csv")
     p_sample.set_defaults(run=cmd_sample)
     return parser

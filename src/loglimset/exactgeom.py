@@ -334,8 +334,6 @@ def balance(
 class _ConeAnalysis:
     dimension: int
     interior: IntRow | None
-    span_basis: tuple[IntRow, ...]
-    projected_rows: tuple[IntRow, ...]
 
 
 def _unit_solution(rows: Sequence[IntRow], width: int) -> list[int] | None:
@@ -362,7 +360,7 @@ def _unit_solution(rows: Sequence[IntRow], width: int) -> list[int] | None:
 # benchmark pass of CLI invocations makes about 150 misses
 @functools.lru_cache(maxsize=4096)
 def _analyze(system: LinearSystem) -> _ConeAnalysis:
-    """Dimension, a relative-interior point, and the rows in the equalities' null space.
+    """Dimension and a relative-interior point of the cone.
 
     The inequalities are projected onto a basis of the null space of the
     equalities; at first every projected row is a candidate.  One LP
@@ -379,7 +377,7 @@ def _analyze(system: LinearSystem) -> _ConeAnalysis:
     """
     m = system.dim
     eqs = system.equalities
-    basis = tuple(nullspace_basis(eqs, m))
+    basis = nullspace_basis(eqs, m)
     span_dim = len(basis)
     projected: set[IntRow] = set()
     for row in system.inequalities:
@@ -405,7 +403,7 @@ def _analyze(system: LinearSystem) -> _ConeAnalysis:
 
     cone_dim = span_dim - exact_rank(implicit)
     if cone_dim == 0:
-        return _ConeAnalysis(0, None, basis, proj_rows)
+        return _ConeAnalysis(0, None)
 
     # the witness is positive on every candidate; with none left, any point
     # of the implicit equalities' null space is interior
@@ -413,7 +411,7 @@ def _analyze(system: LinearSystem) -> _ConeAnalysis:
     point = [sum(coeff * vec[j] for coeff, vec in zip(y, basis)) for j in range(m)]
     prim = primitive_vector(point)
     assert prim is not None
-    return _ConeAnalysis(cone_dim, prim, basis, proj_rows)
+    return _ConeAnalysis(cone_dim, prim)
 
 
 def cone_dimension(system: LinearSystem) -> int:
@@ -430,17 +428,19 @@ def interior_point(system: LinearSystem) -> IntRow | None:
     return _analyze(system).interior
 
 
-def cone_strict_feasible(system: LinearSystem, row: Sequence[int]) -> bool:
-    """Is there a point of the cone with ``row . xi > 0``?"""
-    info = _analyze(system)
-    pr = primitive_vector([dot(row, v) for v in info.span_basis])
-    if pr is None:
-        return False
-    return balance(sorted(set(info.projected_rows) | {pr}), [pr]) is None
+def _signed_rows(system: LinearSystem) -> tuple[IntRow, ...]:
+    """The rows that are >= 0 on the cone: the inequalities, and each
+    equality with both signs."""
+    return system.inequalities + system.equalities + tuple(tuple(-x for x in row) for row in system.equalities)
 
 
 def cone_contains(inner: LinearSystem, outer: LinearSystem) -> bool:
-    """Exact test cone(inner) <= cone(outer); the zero cone lies in every cone."""
+    """Exact test cone(inner) <= cone(outer); the zero cone lies in every cone.
+
+    After the identical-system and interior-point checks, each signed outer
+    row r is one :func:`balance` by Farkas' lemma: r >= 0 on cone(inner)
+    exactly when inner's signed rows and -r balance with weight on -r.
+    """
     if inner.dim != outer.dim:
         raise ValueError("ambient dimensions differ")
     if inner == outer:
@@ -450,10 +450,9 @@ def cone_contains(inner: LinearSystem, outer: LinearSystem) -> bool:
         return True
     if not outer.satisfied_by(p):
         return False
-    for row in outer.equalities:
-        if cone_strict_feasible(inner, row) or cone_strict_feasible(inner, tuple(-x for x in row)):
-            return False
-    for row in outer.inequalities:
-        if cone_strict_feasible(inner, tuple(-x for x in row)):
+    rows = _signed_rows(inner)
+    for row in _signed_rows(outer):
+        neg = tuple(-x for x in row)
+        if row not in rows and balance(rows + (neg,), [neg]) is None:
             return False
     return True

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exactgeom import int_entries
+from .exactgeom import int_entries, primitive_vector
 from .sphdual import RationalDirection, SphericalComplex, rational_points
 
 
@@ -83,10 +82,7 @@ def canonicalize(vector: Sequence[int]) -> BoundaryCurveCoordinate:
         raise ValueError("vector length must be a positive even number")
     if not any(vec):
         raise ValueError("cannot canonicalise the zero vector")
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    vec = [x // g for x in vec]
+    vec = primitive_vector(vec)
     out: list[int] = []
     for i in range(0, len(vec), 2):
         a, b = vec[i], vec[i + 1]

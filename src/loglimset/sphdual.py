@@ -62,25 +62,14 @@ def pair_cone(
 
 
 def reduce_to_maximal(cells: Iterable[LinearSystem]) -> tuple[LinearSystem, ...]:
-    """Drop cells contained in another cell; ties keep the lex-least system.
-
-    Containment is checked exactly: a quick interior-point rejection first,
-    then one LP per row of the candidate superset.
-    """
-    ordered = sorted(set(cells))
-    alive = [True] * len(ordered)
-    for i, a in enumerate(ordered):
-        if not alive[i]:
-            continue
-        for j, b in enumerate(ordered):
-            if i == j or not alive[j]:
-                continue
-            if cone_contains(a, b):
-                if j > i and cone_contains(b, a):
-                    continue  # equal cones: the earlier (lex-least) one stays
-                alive[i] = False
-                break
-    return tuple(c for c, keep in zip(ordered, alive) if keep)
+    """Drop each cell that another cell contains; of equal cones the lex-least
+    system stays.  By transitivity every dropped cell lies in a kept one."""
+    ordered = sorted(set(cells))  # each system once, so identity tells the other cells apart
+    return tuple(
+        a
+        for a in ordered
+        if not any(b is not a and cone_contains(a, b) and (b < a or not cone_contains(b, a)) for b in ordered)
+    )
 
 
 def _support_cells(support: frozenset[ExponentVector]) -> tuple[LinearSystem, ...]:
@@ -213,13 +202,12 @@ def intersect(c1: SphericalComplex, c2: SphericalComplex) -> SphericalComplex:
 
 
 _BLOCK_LIMIT = 2_500  # grid vectors held in one allocation, over all cells of a stack
+_WALK_BUDGET = 4_000_000  # grid vectors one rational_points call may walk, over all its cells
 
 
 def _grid_blocks(dim: int, height: int):
     """[-height, height]^dim in lex order, as runs of at most ``_BLOCK_LIMIT``
-    flat indices, so memory stays bounded for every dim.  numpy cannot index
-    a grid of more than 2^63 vectors: it raises ``ValueError`` at the first block.
-    """
+    flat indices, so memory stays bounded for every dim."""
     shape = (2 * height + 1,) * dim
     total = shape[0] ** dim
     for lo in range(0, total, _BLOCK_LIMIT):
@@ -287,8 +275,9 @@ def rational_points(complex_: SphericalComplex, height: int) -> tuple[RationalDi
     generator, read off at any height.  Every other cell is walked through
     the k coordinates its equalities leave free, (2h+1)^k vectors (the full
     sphere, with no rows: (2h+1)^m), the cells of one k as one stack of
-    arrays in blocks of at most ``_BLOCK_LIMIT`` grid vectors.  A grid of
-    more than 2^63 vectors cannot be indexed and raises ``ValueError``.
+    arrays in blocks of at most ``_BLOCK_LIMIT`` grid vectors.  A walk of
+    more than ``_WALK_BUDGET`` grid vectors over all cells is refused with
+    ``ValueError`` before it starts.
     """
     (height,) = int_entries((height,), "height")
     if height < 1:
@@ -301,6 +290,9 @@ def rational_points(complex_: SphericalComplex, height: int) -> tuple[RationalDi
             continue
         lifted = _lift(cell)
         by_free.setdefault(len(lifted[0][0]), []).append((cell, *lifted))
+    walk = sum(len(group) * (2 * height + 1) ** k for k, group in by_free.items())
+    if walk > _WALK_BUDGET:
+        raise ValueError(f"a walk of {walk} grid vectors is too large: the budget is {_WALK_BUDGET}")
     for k, group in by_free.items():
         size = max(1, _BLOCK_LIMIT // (2 * height + 1) ** k)  # cells per stack
         for start in range(0, len(group), size):

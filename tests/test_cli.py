@@ -101,6 +101,23 @@ class TestLoglim:
         lib = loglim_outer([parse("x+y+1", ("x", "y")), parse("x-y", ("x", "y"))])
         assert payload["cells"] == lib.to_json_dict()["cells"]
 
+    def test_nested_pieces_golden(self, capsys, tmp_path):
+        # two planes in three variables: 4 of the intersection's pieces lie
+        # inside others and are dropped by the maximal reduction
+        path = tmp_path / "planes.txt"
+        path.write_text("x+y+z+1\nx+2*y+3*z+4\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["loglim", str(path), "--vars", "x,y,z"])
+        assert rc == 0 and err == ""
+        assert out == (
+            '{"cells": [{"eq": [[0, 0, 1]], "ineq": [[-1, 0, 0], [0, -1, 0]]}, '
+            '{"eq": [[0, 1, -1]], "ineq": [[-1, 0, 1], [0, 0, 1]]}, '
+            '{"eq": [[0, 1, 0]], "ineq": [[-1, 0, 0], [0, 0, -1]]}, '
+            '{"eq": [[1, -1, 0]], "ineq": [[0, 1, -1], [0, 1, 0]]}, '
+            '{"eq": [[1, 0, -1]], "ineq": [[0, -1, 1], [0, 0, 1]]}, '
+            '{"eq": [[1, 0, 0]], "ineq": [[0, -1, 0], [0, 0, -1]]}], '
+            '"dim": 3, "full_sphere": false, "outer": true}\n'
+        )
+
     def test_all_zero_generators_warn(self, capsys, tmp_path):
         path = tmp_path / "zero.txt"
         path.write_text("0\nx-x\n", encoding="utf-8")
@@ -391,6 +408,23 @@ class TestSubprocessEntry:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["vertices"] == [[0, 0], [0, 1], [1, 0]]
+
+    def test_walk_over_budget_is_refused_before_it_starts(self, tmp_path):
+        # the whole sphere of four variables at height 20 000: 40 001^4 grid
+        # vectors, below numpy's 2^63 indexing limit but far over the budget
+        path = tmp_path / "zero.txt"
+        path.write_text("0\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "loglimset", "slopes", str(path), "--vars", "m1,l1,m2,l2", "--height", "20000"],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            timeout=60,
+        )
+        assert result.returncode == 1 and result.stdout == ""
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "ValueError" and "too large" in payload["message"]
+        assert str(40_001**4) in payload["message"]
 
     def test_sampling_does_not_load_mpmath(self, triangle_file):
         # mpmath is only a test dependency: the CLI must run without it

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -7,14 +8,21 @@ from math import gcd
 import numpy as np
 import pytest
 
-from conftest import analyze_per_candidate, primitive_vectors_py, rref_fraction, solve_nonneg_fraction, strict_feasible
+from conftest import (
+    analyze_per_candidate,
+    contains_strict_lp,
+    primitive_vectors_py,
+    projected_rows,
+    rref_fraction,
+    solve_nonneg_fraction,
+    strict_feasible,
+)
 from loglimset import exactgeom
 from loglimset.exactgeom import (
     LinearSystem,
     balance,
     cone_contains,
     cone_dimension,
-    cone_strict_feasible,
     dot,
     exact_rank,
     interior_point,
@@ -24,7 +32,7 @@ from loglimset.exactgeom import (
     rref,
     solve_nonneg,
 )
-from loglimset.sphdual import pair_cone
+from loglimset.sphdual import pair_cone, reduce_to_maximal
 
 
 class TestCanonicalisation:
@@ -256,12 +264,14 @@ class TestLowLevel:
             assert sum(vec) == 0
 
     def test_cone_strict_feasible(self):
+        # a row r can be made positive on a cone exactly when the cone is
+        # not inside {r <= 0}
         quadrant = LinearSystem.make(2, inequalities=[(1, 0), (0, 1)])
-        assert cone_strict_feasible(quadrant, (1, 1))
-        assert not cone_strict_feasible(quadrant, (-1, -1))
+        assert not cone_contains(quadrant, LinearSystem.make(2, inequalities=[(-1, -1)]))
+        assert cone_contains(quadrant, LinearSystem.make(2, inequalities=[(1, 1)]))
         ray = LinearSystem.make(2, equalities=[(1, 0)], inequalities=[(0, 1)])
-        assert not cone_strict_feasible(ray, (1, 0))
-        assert cone_strict_feasible(ray, (0, 1))
+        assert cone_contains(ray, LinearSystem.make(2, inequalities=[(-1, 0)]))
+        assert not cone_contains(ray, LinearSystem.make(2, inequalities=[(0, -1)]))
 
     def test_cone_contains(self):
         quadrant = LinearSystem.make(2, inequalities=[(1, 0), (0, 1)])
@@ -386,6 +396,88 @@ def _random_rows(rng: random.Random) -> list[tuple[int, ...]]:
     return sorted({r for r in rows if any(r)})
 
 
+def _small_cone(rng: random.Random, m: int) -> LinearSystem:
+    """1-4 random rows in [-3, 3]^m, sometimes under an equality."""
+    rows = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(1, 4))]
+    eqs = [tuple(rng.randint(-2, 2) for _ in range(m))] if rng.random() < 0.2 else []
+    return LinearSystem.make(m, eqs, rows)
+
+
+def _redundant_row(rng: random.Random, s: LinearSystem) -> tuple[int, ...]:
+    """A nonnegative combination of some signed rows of s: >= 0 on its cone."""
+    signed = list(s.inequalities) + [r for e in s.equalities for r in (e, tuple(-x for x in e))]
+    group = rng.sample(signed, min(len(signed), rng.randint(1, 3)))
+    return tuple(sum(rng.randint(1, 3) * r[i] for r in group) for i in range(s.dim))
+
+
+def _containment_pair(rng: random.Random, m: int) -> tuple[LinearSystem, LinearSystem]:
+    """A subcone (outer plus random rows), the same cone with a redundant
+    row added (either way round), or two unrelated cones."""
+    outer = _small_cone(rng, m)
+    kind = rng.randrange(4)
+    if kind == 0:
+        extra = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(1, 2))]
+        eqs = [tuple(rng.randint(-2, 2) for _ in range(m))] if rng.random() < 0.2 else []
+        return intersect(outer, LinearSystem.make(m, eqs, extra)), outer
+    if kind in (1, 2) and (outer.inequalities or outer.equalities):
+        same = LinearSystem.make(m, outer.equalities, outer.inequalities + (_redundant_row(rng, outer),))
+        return (same, outer) if kind == 1 else (outer, same)
+    return _small_cone(rng, m), outer
+
+
+class TestContainment:
+    """cone_contains and reduce_to_maximal against one strict Fraction LP per
+    signed outer row (conftest.contains_strict_lp)."""
+
+    def test_matches_strict_lp_oracle(self, monkeypatch):
+        lps: list[int] = []
+        solve = exactgeom.solve_nonneg
+        monkeypatch.setattr(exactgeom, "solve_nonneg", lambda *a: lps.append(1) or solve(*a))
+        rng = random.Random(2626)
+        pairs = [_containment_pair(rng, rng.randint(2, 4)) for _ in range(2000)]
+        for m in (2, 3, 4):
+            zero = LinearSystem.make(m, [tuple(int(i == k) for i in range(m)) for k in range(m)])
+            full = LinearSystem.make(m)
+            same_m = [pair for pair in pairs[:200] if pair[0].dim == m][:20]
+            pairs += [(x, b) for _, b in same_m for x in (zero, full)]
+            pairs += [(a, x) for a, _ in same_m for x in (zero, full)]
+        contained = past_interior = 0
+        for inner, outer in pairs:
+            p = interior_point(inner)  # analysed before the LPs are counted
+            lps.clear()
+            expected = contains_strict_lp(inner, outer)
+            assert cone_contains(inner, outer) == expected, (inner, outer)
+            # at most one LP per signed outer row, and none on an identical system
+            assert len(lps) <= len(outer.inequalities) + 2 * len(outer.equalities), (inner, outer)
+            assert not lps or inner != outer
+            contained += expected
+            past_interior += p is not None and inner != outer and outer.satisfied_by(p)
+        assert contained >= len(pairs) // 3, (contained, len(pairs))
+        assert past_interior >= 800, past_interior
+
+    def test_reduce_to_maximal_keeps_lex_least_maximal_cells(self):
+        rng = random.Random(2627)
+        dropped = tied = 0
+        for _ in range(120):
+            m = rng.randint(2, 3)
+            pairs = [_containment_pair(rng, m) for _ in range(rng.randint(1, 4))]
+            cells = [c for pair in pairs for c in pair if cone_dimension(c) > 0]
+            inside = functools.cache(contains_strict_lp)
+            ordered = sorted(set(cells))
+            expected = tuple(
+                a
+                for a in ordered
+                if not any(b != a and inside(a, b) and (b < a or not inside(b, a)) for b in ordered)
+            )
+            assert reduce_to_maximal(cells) == expected, cells
+            # every dropped cell lies in a kept one; kept cells are not nested
+            assert all(any(inside(a, b) for b in expected) for a in ordered)
+            assert not any(a != b and inside(a, b) for a in expected for b in expected)
+            dropped += len(ordered) - len(expected)
+            tied += any(a != b and inside(a, b) and inside(b, a) for a in ordered for b in ordered)
+        assert dropped >= 100 and tied >= 20, (dropped, tied)
+
+
 class TestFarkasLoop:
     """The balance loop of _analyze against the per-candidate LPs kept in conftest."""
 
@@ -412,7 +504,7 @@ class TestFarkasLoop:
             dim, vanishing = analyze_per_candidate(s)
             assert info.dimension == dim, s
             # linearly independent rows cannot balance: no LP is solved
-            rows = info.projected_rows
+            rows = sorted(set(projected_rows(s)[1].values()))
             if rows and exact_rank(rows) == len(rows):
                 assert not solves, s
                 independent += 1

@@ -381,6 +381,26 @@ class TestCellEnumeration:
             rational_points(SphericalComplex.full(3), 2_000_000)
         assert rational_points(SphericalComplex.full(1), 2**62) == ((-1,), (1,))
 
+    def test_walk_budget_counts_every_walked_cell(self, monkeypatch):
+        # a narrow cone of the 4-sphere: (2h+1)^4 grid vectors, few of them kept
+        narrow = LinearSystem.make(4, (), [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1)])
+        c = SphericalComplex(4, [narrow])
+        assert 43**4 <= sphdual._WALK_BUDGET < 45**4
+        assert len(rational_points(c, 21)) > 10_000  # just under the budget: walked
+        with pytest.raises(ValueError, match="too large"):
+            rational_points(c, 22)
+        # the sum over cells: two planes (k = 2) and a ray, which is read, not walked
+        plane_a = LinearSystem.make(3, [(0, 0, 1)], [(1, 0, 0)])
+        plane_b = LinearSystem.make(3, [(1, 0, 0)], [(0, 1, 0)])
+        ray = LinearSystem.make(3, [(1, 0, 0), (0, 1, 0)], [(0, 0, 1)])
+        c = SphericalComplex(3, [plane_a, plane_b, ray])
+        monkeypatch.setattr(sphdual, "_WALK_BUDGET", 2 * 7**2)
+        expected = rational_points_grid(c, 3)
+        assert rational_points(c, 3) == expected
+        monkeypatch.setattr(sphdual, "_WALK_BUDGET", 2 * 7**2 - 1)
+        with pytest.raises(ValueError, match=f"{2 * 7**2} grid vectors is too large"):
+            rational_points(c, 3)
+
     def test_grid_blocks_are_bounded_and_in_lex_order(self, monkeypatch):
         monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", 40)
         for dim, height in ((1, 100), (2, 30), (3, 2), (2, 3)):
