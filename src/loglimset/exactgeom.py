@@ -9,7 +9,9 @@ Bland's anti-cycling rule.  Every LP asks one question (:func:`balance`):
 is there a nonnegative combination of some rows that is zero and weighs a
 chosen subset?  By Gordan's alternative, when there is none the Farkas
 certificate is a point strictly positive on that subset and nonnegative on
-every row.  Cone dimension comes from the implicit equalities, the
+every row.  Cone analysis and containment both ask it of a cone's signed
+rows (the inequalities, and each equality with both signs) in the ambient
+coordinates.  Cone dimension comes from the implicit equalities, the
 inequalities that vanish on the whole cone: each combination found names
 more of them, until none is left and the certificate point is a
 relative-interior point, or they leave only the zero cone.
@@ -330,24 +332,31 @@ def balance(
 # cone analysis
 
 
+def _signed_rows(system: LinearSystem) -> tuple[IntRow, ...]:
+    """The rows that are >= 0 on the cone: the inequalities, and each
+    equality with both signs."""
+    return system.inequalities + system.equalities + tuple(tuple(-x for x in row) for row in system.equalities)
+
+
 @dataclass(frozen=True)
 class _ConeAnalysis:
     dimension: int
     interior: IntRow | None
 
 
-def _unit_solution(rows: Sequence[IntRow], width: int) -> list[int] | None:
-    """Integers y with ``row . y`` the same positive number on every row, if
-    the rows are linearly independent; None if they are not, or there are none.
+def _unit_solution(equalities: Sequence[IntRow], rows: Sequence[IntRow], width: int) -> list[int] | None:
+    """Integers y with ``eq . y = 0`` and ``row . y`` the same positive number
+    on every row, if the equalities and rows are linearly independent
+    together; None if they are not, or there are no rows.
 
-    Independent rows never balance, so y is a relative-interior witness that
-    needs no LP: one exact solve of ``row . y = 1``, free unknowns set to 0,
-    scaled by the lcm of the pivots.
+    Such rows never balance, so y is a relative-interior witness that needs
+    no LP: one exact solve, free unknowns set to 0, scaled by the lcm of the
+    pivots.
     """
-    if not rows or len(rows) > width:
+    if not rows or len(equalities) + len(rows) > width:
         return None
-    pivots, reduced = rref(row + (1,) for row in rows)
-    if len(pivots) < len(rows) or width in pivots:
+    pivots, reduced = rref([eq + (0,) for eq in equalities] + [row + (1,) for row in rows])
+    if len(pivots) < len(equalities) + len(rows) or width in pivots:
         return None
     scale = lcm(*(prow[pcol] for prow, pcol in zip(reduced, pivots)))
     y = [0] * width
@@ -362,54 +371,43 @@ def _unit_solution(rows: Sequence[IntRow], width: int) -> list[int] | None:
 def _analyze(system: LinearSystem) -> _ConeAnalysis:
     """Dimension and a relative-interior point of the cone.
 
-    The inequalities are projected onto a basis of the null space of the
-    equalities; at first every projected row is a candidate.  One LP
-    (:func:`balance`) asks for a nonnegative combination of the rows that
-    is zero and weighs some candidate.  If there is one, the rows it weighs
-    are implicit equalities, at least one of them a candidate; they stop
-    being candidates and the LP is solved again, unless the implicit
+    The implicit equalities start as the equalities, and every inequality
+    is a candidate.  One LP (:func:`balance`) over the signed rows asks for
+    a nonnegative combination that is zero and weighs some candidate.  If
+    there is one, the candidates it weighs are implicit equalities; they
+    stop being candidates and the LP is solved again, unless the implicit
     equalities already cut the cone down to zero.  If there is none,
-    Gordan's alternative gives a point strictly positive on every candidate
-    and nonnegative on every row, so zero on exactly the implicit
-    equalities: a relative-interior point.  Linearly independent rows
+    Gordan's alternative gives a point of the ambient space strictly
+    positive on every candidate and nonnegative on every signed row, so
+    zero on exactly the implicit equalities: a relative-interior point.
+    Equalities and inequalities that are linearly independent together
     never balance, so they get that point from :func:`_unit_solution`,
     with no LP.
     """
     m = system.dim
-    eqs = system.equalities
-    basis = nullspace_basis(eqs, m)
-    span_dim = len(basis)
-    projected: set[IntRow] = set()
-    for row in system.inequalities:
-        pr = primitive_vector([dot(row, v) for v in basis])
-        if pr is not None:
-            projected.add(pr)
-    proj_rows = tuple(sorted(projected))
-
-    implicit: list[IntRow] = []
-    candidates = list(proj_rows)
-    witness = _unit_solution(proj_rows, span_dim)
+    rows = _signed_rows(system)
+    implicit = list(system.equalities)
+    candidates = list(system.inequalities)
+    witness = _unit_solution(system.equalities, system.inequalities, m)
     while candidates and witness is None:
         point: list[int] = []
-        lam = balance(proj_rows, candidates, point)
+        lam = balance(rows, candidates, point)
         if lam is None:
             witness = point
             break
-        forced = {row for row, weight in zip(proj_rows, lam) if weight}
+        forced = {row for row, weight in zip(rows, lam) if weight}
         implicit += [r for r in candidates if r in forced]
         candidates = [r for r in candidates if r not in forced]
-        if exact_rank(implicit) == span_dim:
+        if exact_rank(implicit) == m:
             break  # the zero cone: every row left vanishes on it too
 
-    cone_dim = span_dim - exact_rank(implicit)
+    cone_dim = m - exact_rank(implicit)
     if cone_dim == 0:
         return _ConeAnalysis(0, None)
 
     # the witness is positive on every candidate; with none left, any point
     # of the implicit equalities' null space is interior
-    y = witness if candidates else nullspace_basis(implicit, span_dim)[0]
-    point = [sum(coeff * vec[j] for coeff, vec in zip(y, basis)) for j in range(m)]
-    prim = primitive_vector(point)
+    prim = primitive_vector(witness if candidates else nullspace_basis(implicit, m)[0])
     assert prim is not None
     return _ConeAnalysis(cone_dim, prim)
 
@@ -426,12 +424,6 @@ def interior_point(system: LinearSystem) -> IntRow | None:
     not forced to equality strictly.
     """
     return _analyze(system).interior
-
-
-def _signed_rows(system: LinearSystem) -> tuple[IntRow, ...]:
-    """The rows that are >= 0 on the cone: the inequalities, and each
-    equality with both signs."""
-    return system.inequalities + system.equalities + tuple(tuple(-x for x in row) for row in system.equalities)
 
 
 def cone_contains(inner: LinearSystem, outer: LinearSystem) -> bool:

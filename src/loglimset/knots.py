@@ -95,15 +95,10 @@ def verify_psl2_relation(knot: TorusKnotParams) -> bool:
     return left == right
 
 
-def detected_slopes(knot: TorusKnotParams, height: int | None = None) -> set[Fraction]:
-    """Slope set of the expanded A-polynomial through the full pipeline.
-
-    The dual's rays have height up to pq, so the default enumeration bound is
-    pq; passing a smaller height will miss the non-trivial slope.
-    """
-    if height is None:
-        height = knot.pq
+def detected_slopes(knot: TorusKnotParams) -> set[Fraction]:
+    """Slope set of the expanded A-polynomial through the full pipeline,
+    enumerated at height pq, which covers every ray of the dual."""
     expanded = a_polynomial(knot).expand()
     dual = spherical_dual(expanded)
-    coordinates = detect_boundary_coordinates(dual, height)
+    coordinates = detect_boundary_coordinates(dual, knot.pq)
     return {c.slope() for c in coordinates}

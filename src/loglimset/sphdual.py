@@ -138,6 +138,8 @@ class SphericalComplex:
         return not self.cells
 
     def __eq__(self, other: object) -> bool:
+        """Same dim and the same canonical cell tuples.  One set subdivided
+        into cells two ways compares unequal."""
         if not isinstance(other, SphericalComplex):
             return NotImplemented
         return self.dim == other.dim and self.cells == other.cells

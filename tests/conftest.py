@@ -246,27 +246,22 @@ def strict_feasible(rows: Sequence[Sequence[int]], strict: Sequence[Sequence[int
     return [x[j] - x[d + j] for j in range(d)]
 
 
-# The inequalities projected onto a basis of the equalities' null space, as
-# exactgeom._analyze projects them before its balance loop.
-def projected_rows(system: LinearSystem) -> tuple[int, dict]:
-    """(dimension of the equalities' null space, each inequality's primitive projection)."""
-    basis = nullspace_basis(system.equalities, system.dim)
-    return len(basis), {row: primitive_vector([dot(row, v) for v in basis]) for row in system.inequalities}
-
-
 # Reference cone analysis that solves one LP per candidate row once the joint
 # strict LP is infeasible, as exactgeom._analyze did before it read implicit
-# equalities off a certificate.  Tests compare the balance loop to it.
+# equalities off a certificate.  It works on the inequalities projected onto a
+# basis of the equalities' null space, where _analyze balances the signed rows
+# in the ambient coordinates.  Tests compare the balance loop to it.
 def analyze_per_candidate(system: LinearSystem) -> tuple[int, frozenset]:
     """(cone dimension, the inequality rows that vanish on the whole cone)."""
-    span_dim, projected = projected_rows(system)
+    basis = nullspace_basis(system.equalities, system.dim)
+    projected = {row: primitive_vector([dot(row, v) for v in basis]) for row in system.inequalities}
     proj_rows = sorted(set(projected.values()))
     implicit = [r for r in proj_rows if tuple(-x for x in r) in proj_rows]
     candidates = [r for r in proj_rows if r not in implicit]
     if candidates and strict_feasible(proj_rows, candidates) is None:
         implicit += [r for r in candidates if strict_feasible(proj_rows, [r]) is None]
     vanishing = frozenset(row for row, pr in projected.items() if pr in implicit)
-    return span_dim - exact_rank(implicit), vanishing
+    return len(basis) - exact_rank(implicit), vanishing
 
 
 # Reference containment on the strict LP above: cone(inner) lies in

@@ -118,6 +118,33 @@ class TestLoglim:
             '"dim": 3, "full_sphere": false, "outer": true}\n'
         )
 
+    def test_split_link_golden(self, capsys, tmp_path):
+        # the (2,3) and (2,5) torus knots on two cusps: every cell of the
+        # intersection has two equalities, one from each cusp
+        path = tmp_path / "link.txt"
+        path.write_text("(l1-1)*(l1*m1^6+1)\n(l2-1)*(l2*m2^10+1)\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["loglim", str(path), "--vars", "m1,l1,m2,l2"])
+        assert rc == 0 and err == ""
+        assert out == (
+            '{"cells": [{"eq": [[0, 0, 0, 1], [0, 1, 0, 0]], "ineq": [[-1, 0, 0, 0], [0, 0, -1, 0]]}, '
+            '{"eq": [[0, 0, 0, 1], [0, 1, 0, 0]], "ineq": [[-1, 0, 0, 0], [0, 0, 1, 0]]}, '
+            '{"eq": [[0, 0, 0, 1], [0, 1, 0, 0]], "ineq": [[0, 0, -1, 0], [1, 0, 0, 0]]}, '
+            '{"eq": [[0, 0, 0, 1], [0, 1, 0, 0]], "ineq": [[0, 0, 1, 0], [1, 0, 0, 0]]}, '
+            '{"eq": [[0, 0, 0, 1], [6, 1, 0, 0]], "ineq": [[0, -1, 0, 0], [0, 0, -1, 0]]}, '
+            '{"eq": [[0, 0, 0, 1], [6, 1, 0, 0]], "ineq": [[0, -1, 0, 0], [0, 0, 1, 0]]}, '
+            '{"eq": [[0, 0, 0, 1], [6, 1, 0, 0]], "ineq": [[0, 0, -1, 0], [0, 1, 0, 0]]}, '
+            '{"eq": [[0, 0, 0, 1], [6, 1, 0, 0]], "ineq": [[0, 0, 1, 0], [0, 1, 0, 0]]}, '
+            '{"eq": [[0, 0, 10, 1], [0, 1, 0, 0]], "ineq": [[-1, 0, 0, 0], [0, 0, 0, -1]]}, '
+            '{"eq": [[0, 0, 10, 1], [0, 1, 0, 0]], "ineq": [[-1, 0, 0, 0], [0, 0, 0, 1]]}, '
+            '{"eq": [[0, 0, 10, 1], [0, 1, 0, 0]], "ineq": [[0, 0, 0, -1], [1, 0, 0, 0]]}, '
+            '{"eq": [[0, 0, 10, 1], [0, 1, 0, 0]], "ineq": [[0, 0, 0, 1], [1, 0, 0, 0]]}, '
+            '{"eq": [[0, 0, 10, 1], [6, 1, 0, 0]], "ineq": [[0, -1, 0, 0], [0, 0, 0, -1]]}, '
+            '{"eq": [[0, 0, 10, 1], [6, 1, 0, 0]], "ineq": [[0, -1, 0, 0], [0, 0, 0, 1]]}, '
+            '{"eq": [[0, 0, 10, 1], [6, 1, 0, 0]], "ineq": [[0, 0, 0, -1], [0, 1, 0, 0]]}, '
+            '{"eq": [[0, 0, 10, 1], [6, 1, 0, 0]], "ineq": [[0, 0, 0, 1], [0, 1, 0, 0]]}], '
+            '"dim": 4, "full_sphere": false, "outer": true}\n'
+        )
+
     def test_all_zero_generators_warn(self, capsys, tmp_path):
         path = tmp_path / "zero.txt"
         path.write_text("0\nx-x\n", encoding="utf-8")

@@ -12,9 +12,10 @@ from conftest import (
     analyze_per_candidate,
     contains_strict_lp,
     primitive_vectors_py,
-    projected_rows,
+    random_laurent,
     rref_fraction,
     solve_nonneg_fraction,
+    split_link_generators,
     strict_feasible,
 )
 from loglimset import exactgeom
@@ -32,7 +33,7 @@ from loglimset.exactgeom import (
     rref,
     solve_nonneg,
 )
-from loglimset.sphdual import pair_cone, reduce_to_maximal
+from loglimset.sphdual import pair_cone, reduce_to_maximal, spherical_dual
 
 
 class TestCanonicalisation:
@@ -383,6 +384,24 @@ def _pair_cone_sample(rng: random.Random) -> LinearSystem:
     return pair_cone(pts, *rng.sample(pts, 2))
 
 
+def _dual_pieces(rng: random.Random, count: int) -> list[LinearSystem]:
+    """At least ``count`` pieces that sphdual.intersect forms from the cells
+    of two random duals, m 3-4: most have two equalities, one per cell."""
+    pieces: set[LinearSystem] = set()
+    while len(pieces) < count:
+        variables = ("x", "y", "z", "w")[: rng.randint(3, 4)]
+        c1, c2 = (spherical_dual(random_laurent(rng, variables, max_terms=4, min_terms=2)) for _ in range(2))
+        pieces |= {intersect(a, b) for a in c1.cells for b in c2.cells}
+    return sorted(pieces)
+
+
+def _split_link_cells(*knots: tuple[int, int]) -> list[LinearSystem]:
+    """The cells of both cusps' duals over (m1, l1, m2, l2), each with a
+    two-dimensional lineality space, and the pieces of their intersection."""
+    c1, c2 = (spherical_dual(g) for g in split_link_generators(*knots))
+    return list(c1.cells + c2.cells) + sorted({intersect(a, b) for a in c1.cells for b in c2.cells})
+
+
 def _random_rows(rng: random.Random) -> list[tuple[int, ...]]:
     """m 2-5; 1-6 distinct nonzero rows, sometimes with a negated
     combination of some of them, which makes those rows balance."""
@@ -496,6 +515,13 @@ class TestFarkasLoop:
         rng = random.Random(1313)
         systems = [_random_cone(rng) for _ in range(600)] + [_pair_cone_sample(rng) for _ in range(150)]
         systems += [_orthant_cone(rng) for _ in range(80)]
+        pieces = _dual_pieces(rng, 150)
+        link = _split_link_cells((2, 3), (2, 5)) + _split_link_cells((2, 3), (3, 4))
+        # the pieces hold one equality from each cell; the cusp cells of the
+        # split links have a two-dimensional lineality space
+        assert sum(len(s.equalities) == 2 for s in pieces) >= 100
+        assert sum(s.dim - exact_rank(s.equalities + s.inequalities) == 2 for s in link) >= 16
+        systems += pieces + link
         rounds: dict[tuple[int, bool], int] = {}
         independent = 0
         for s in systems:
@@ -504,8 +530,8 @@ class TestFarkasLoop:
             dim, vanishing = analyze_per_candidate(s)
             assert info.dimension == dim, s
             # linearly independent rows cannot balance: no LP is solved
-            rows = sorted(set(projected_rows(s)[1].values()))
-            if rows and exact_rank(rows) == len(rows):
+            rows = s.equalities + s.inequalities
+            if s.inequalities and exact_rank(rows) == len(rows):
                 assert not solves, s
                 independent += 1
             key = (min(sum(solves), 2), dim > 0)

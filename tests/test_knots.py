@@ -91,10 +91,6 @@ class TestDetectedSlopes:
     def test_examples(self, p, q, expected):
         assert detected_slopes(TorusKnotParams(p, q)) == {Fraction(s) for s in expected}
 
-    def test_explicit_height_below_pq_misses_the_slope(self):
-        # documents why the default enumeration bound is pq
-        assert detected_slopes(TorusKnotParams(3, 4), height=4) == {Fraction(0)}
-
     def test_longitude_factor_contribution(self):
         # the reducible-representation factor contributes exactly the class [0, 1]
         dual = spherical_dual(parse("l-1", ("m", "l")))
