@@ -38,16 +38,15 @@ def int_entries(values: Iterable, what: str) -> IntRow:
         raise ValueError(f"{what} {values} has a non-integer entry") from None
 
 
-def dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(operator.mul, a, b))
-
-
 def primitive_vector(v: Sequence[int]) -> IntRow | None:
     """Divide by the gcd of the entries; None for the zero vector.
 
-    The direction (sign pattern) is kept, so inequality rows stay equivalent.
+    Always a tuple (``_analyze`` passes a list), built at once when the gcd
+    is 1.  The direction (sign pattern) is kept, so inequality rows stay equivalent.
     """
     g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     return tuple(x // g for x in v) if g else None
 
 
@@ -114,17 +113,6 @@ def nullspace_basis(rows: Iterable[Sequence[int]], width: int) -> list[IntRow]:
     return basis
 
 
-def _reduce_modulo(row: IntRow, pivots: list[int], reduced: list[IntRow]) -> IntRow | None:
-    """Reduce a row modulo a row span given by :func:`rref`; primitive result or None."""
-    vec: Sequence[int] = row
-    for prow, pcol in zip(reduced, pivots):
-        f = vec[pcol]
-        if f:
-            p = prow[pcol]
-            vec = [p * a - f * c for a, c in zip(vec, prow)]
-    return primitive_vector(vec)
-
-
 # ----------------------------------------------------------------------
 # linear systems
 
@@ -148,12 +136,18 @@ class LinearSystem:
     Instances should be built through :meth:`make`, which canonicalises rows:
     primitive integers, inequalities reduced modulo the equality span,
     opposite inequality pairs promoted to equalities, duplicates dropped,
-    rows sorted lexicographically.
+    rows sorted lexicographically.  The hash is computed once per instance.
     """
 
     dim: int
     equalities: tuple[IntRow, ...]
     inequalities: tuple[IntRow, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.dim, self.equalities, self.inequalities)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def make(
@@ -162,29 +156,37 @@ class LinearSystem:
         equalities: Iterable[Sequence[int]] = (),
         inequalities: Iterable[Sequence[int]] = (),
     ) -> "LinearSystem":
+        """Canonical form in one pass per round: each inequality is reduced by
+        the echelon equalities nonzero in its pivot column, primitive after
+        each step; opposite results become equalities for the next round."""
         if dim < 1:
             raise ValueError("ambient dimension must be positive")
         eq_rows = _primitive_rows(equalities, dim)
         ineq_rows = _primitive_rows(inequalities, dim)
         while True:
             pivots, reduced = rref(eq_rows)
-            canon_eqs = tuple(sorted(reduced))
+            echelon = [(prow, pcol, prow[pcol]) for prow, pcol in zip(reduced, pivots)]
             seen: set[IntRow] = set()
             for row in ineq_rows:
-                rr = _reduce_modulo(row, pivots, reduced)
-                if rr is not None:
-                    seen.add(rr)
-            promoted = [r for r in seen if tuple(-x for x in r) in seen and r < tuple(-x for x in r)]
+                for prow, pcol, p in echelon:
+                    if f := row[pcol]:
+                        row = primitive_vector([p * a - f * c for a, c in zip(row, prow)])
+                        if row is None:
+                            break
+                else:
+                    seen.add(row)
+            negs = {row: tuple(map(operator.neg, row)) for row in seen}
+            promoted = [row for row, neg in negs.items() if row < neg and neg in seen]
             if not promoted:
-                return cls(dim, canon_eqs, tuple(sorted(seen)))
-            eq_rows = list(canon_eqs) + promoted
-            ineq_rows = [r for r in seen if r not in promoted and tuple(-x for x in r) not in promoted]
+                return cls(dim, tuple(sorted(reduced)), tuple(sorted(seen)))
+            eq_rows = reduced + promoted
+            ineq_rows = [row for row, neg in negs.items() if neg not in seen]
 
     def satisfied_by(self, xi: Sequence[int]) -> bool:
         if len(xi) != self.dim:
             raise ValueError(f"point has length {len(xi)}, expected {self.dim}")
-        return all(dot(row, xi) == 0 for row in self.equalities) and all(
-            dot(row, xi) >= 0 for row in self.inequalities
+        return all(sum(map(operator.mul, row, xi)) == 0 for row in self.equalities) and all(
+            sum(map(operator.mul, row, xi)) >= 0 for row in self.inequalities
         )
 
     def to_json_dict(self) -> dict:

@@ -13,6 +13,7 @@ edges, the codimension-1 skeleton of the polytope's normal fan.
 from __future__ import annotations
 
 import itertools
+from operator import sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,9 +57,8 @@ def pair_cone(
     if a0 not in pts or a1 not in pts:
         raise ValueError("both points must belong to the support")
     dim = len(a0)
-    ineqs = [tuple(x - y for x, y in zip(a0, a)) for a in pts]
-    equality = tuple(x - y for x, y in zip(a0, a1))
-    return LinearSystem.make(dim, [equality], ineqs)
+    ineqs = [tuple(map(sub, a0, a)) for a in pts]
+    return LinearSystem.make(dim, [tuple(map(sub, a0, a1))], ineqs)
 
 
 def reduce_to_maximal(cells: Iterable[LinearSystem]) -> tuple[LinearSystem, ...]:

@@ -24,7 +24,6 @@ import loglimset
 from loglimset.exactgeom import (
     LinearSystem,
     cone_dimension,
-    dot,
     exact_rank,
     nullspace_basis,
     primitive_vector,
@@ -105,6 +104,10 @@ def split_link_generators(*knots: tuple[int, int]) -> list[LaurentPolynomial]:
     return gens
 
 
+def dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
 def primitive_vectors_py(dim: int, height: int) -> list[tuple[int, ...]]:
     """Pure-python enumeration of primitive vectors with max-norm <= height."""
     out = []
@@ -150,6 +153,46 @@ def rref_fraction(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[int], 
         if r == len(mat):
             break
     return pivots, mat[: len(pivots)]
+
+
+def _primitive_int_row(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """The positive multiple of a nonzero rational row with coprime integer entries."""
+    scale = math.lcm(*(x.denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return tuple(x // g for x in ints)
+
+
+# Reference canonical form of a homogeneous system in Fraction arithmetic;
+# tests compare LinearSystem.make to it.
+def canonical_rows_fraction(
+    equalities: Iterable[Sequence[int]], inequalities: Iterable[Sequence[int]]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(equalities, inequalities) in canonical form: the equalities are the
+    rational RREF scaled to primitive integer rows, each inequality is reduced
+    over Q modulo their span and scaled to a primitive integer row, zero and
+    duplicate rows go, and opposite inequalities become equalities until no
+    opposite pair is left.  Both tuples are sorted."""
+    eqs = [[int(x) for x in row] for row in equalities]
+    ineqs = [[int(x) for x in row] for row in inequalities]
+    while True:
+        pivots, reduced = rref_fraction(eqs)
+        rows = set()
+        for row in ineqs:
+            vec = [Fraction(x) for x in row]
+            for prow, col in zip(reduced, pivots):
+                f = vec[col]
+                vec = [a - f * c for a, c in zip(vec, prow)]
+            if any(vec):
+                rows.add(_primitive_int_row(vec))
+        canon_eqs = sorted(_primitive_int_row(row) for row in reduced)
+        opposite = [row for row in rows if tuple(-x for x in row) in rows]
+        if not opposite:
+            return tuple(canon_eqs), tuple(sorted(rows))
+        eqs = canon_eqs + opposite
+        ineqs = [row for row in rows if row not in opposite]
 
 
 # Reference phase-1 simplex on a Fraction tableau, every row starting on an

@@ -60,6 +60,97 @@ class TestSphdual:
         assert rc == 0 and err == ""
         assert out == self.GOLDEN
 
+    # past two variables: the polynomials of CI's newton goldens, whose
+    # support points lie on edges and inside, and one input in four variables
+    GOLDENS_PAST_TWO = {
+        "square": (
+            "(x+y+1)*(x+y+1)*(x-y*z+1)",
+            "x,y,z",
+            (
+                '{"cells": [{"eq": [[0, 1, 0]], "ineq": [[-3, 0, 1], [-2, 0, 1], [-1, 0, 0], [-1, 0, 1], '
+                '[0, 0, 1]]}, {"eq": [[0, 1, 0]], "ineq": [[-2, 0, -1], [-1, 0, -1], [-1, 0, 0], [0, 0, '
+                '-1]]}, {"eq": [[0, 1, 1]], "ineq": [[-3, 0, -2], [-2, 0, -1], [-1, 0, -2], [-1, 0, -1], '
+                '[-1, 0, 0], [0, 0, -1]]}, {"eq": [[0, 1, 1]], "ineq": [[-2, 0, 1], [-1, 0, 0], [-1, 0, '
+                '1], [-1, 0, 2], [0, 0, 1]]}, {"eq": [[1, -1, -1]], "ineq": [[0, 0, -1], [0, 1, -1], [0, '
+                '1, 0], [0, 1, 1], [0, 2, 1], [0, 3, 1]]}, {"eq": [[1, -1, -1]], "ineq": [[0, 0, 1], [0, '
+                '1, 1], [0, 1, 2], [0, 1, 3], [0, 2, 3]]}, {"eq": [[1, -1, 0]], "ineq": [[0, 0, -1], [0, '
+                '1, -1], [0, 1, 0], [0, 2, -1]]}, {"eq": [[1, -1, 0]], "ineq": [[0, 0, 1], [0, 1, 0], '
+                '[0, 1, 1], [0, 2, 1], [0, 3, 1]]}, {"eq": [[1, 0, 0]], "ineq": [[0, -3, -1], [0, -2, '
+                '-1], [0, -1, -1], [0, -1, 0]]}, {"eq": [[1, 0, 0]], "ineq": [[0, -1, -1], [0, 0, -1], '
+                '[0, 1, -1], [0, 1, 0]]}, {"eq": [[1, 0, 0]], "ineq": [[0, -1, 0], [0, -1, 1], [0, 0, '
+                '1], [0, 1, 1]]}], "dim": 3, "full_sphere": false}\n'
+            ),
+        ),
+        "prism": (
+            "(1+x+y+z)*(1+x+y+z)*(1+x+y+z)*(1-x*y*z)",
+            "x,y,z",
+            (
+                '{"cells": [{"eq": [[0, 0, 1]], "ineq": [[-4, -1, 0], [-3, -2, 0], [-3, -1, 0], [-2, -3, '
+                '0], [-2, -1, 0], [-1, -4, 0], [-1, -3, 0], [-1, -2, 0], [-1, -1, 0], [-1, 0, 0], [0, '
+                '-1, 0]]}, {"eq": [[0, 1, -1]], "ineq": [[-4, 0, 1], [-3, 0, 1], [-2, 0, -1], [-2, 0, '
+                '1], [-2, 0, 3], [-1, 0, -2], [-1, 0, -1], [-1, 0, 0], [-1, 0, 1], [-1, 0, 2], [-1, 0, '
+                '3], [0, 0, 1]]}, {"eq": [[0, 1, -1]], "ineq": [[-2, 0, 3], [-2, 0, 5], [-1, 0, 1], [-1, '
+                '0, 2], [-1, 0, 3], [-1, 0, 4], [-1, 0, 5], [0, 0, 1], [1, 0, 2], [1, 0, 3], [1, 0, 4], '
+                '[1, 0, 5]]}, {"eq": [[0, 1, 0]], "ineq": [[-4, 0, -1], [-3, 0, -2], [-3, 0, -1], [-2, '
+                '0, -3], [-2, 0, -1], [-1, 0, -4], [-1, 0, -3], [-1, 0, -2], [-1, 0, -1], [-1, 0, 0], '
+                '[0, 0, -1]]}, {"eq": [[1, -1, 0]], "ineq": [[0, -2, -1], [0, -1, -2], [0, -1, -1], [0, '
+                '0, -1], [0, 1, -4], [0, 1, -3], [0, 1, -2], [0, 1, -1], [0, 1, 0], [0, 2, -1], [0, 3, '
+                '-2], [0, 3, -1]]}, {"eq": [[1, -1, 0]], "ineq": [[0, 1, -1], [0, 1, 0], [0, 2, -1], [0, '
+                '2, 1], [0, 3, -2], [0, 3, -1], [0, 3, 1], [0, 4, -1], [0, 4, 1], [0, 5, -2], [0, 5, '
+                '-1], [0, 5, 1]]}, {"eq": [[1, 0, -1]], "ineq": [[0, -4, 1], [0, -3, 1], [0, -2, -1], '
+                '[0, -2, 1], [0, -2, 3], [0, -1, -2], [0, -1, -1], [0, -1, 0], [0, -1, 1], [0, -1, 2], '
+                '[0, -1, 3], [0, 0, 1]]}, {"eq": [[1, 0, -1]], "ineq": [[0, -2, 3], [0, -2, 5], [0, -1, '
+                '1], [0, -1, 2], [0, -1, 3], [0, -1, 4], [0, -1, 5], [0, 0, 1], [0, 1, 2], [0, 1, 3], '
+                '[0, 1, 4], [0, 1, 5]]}, {"eq": [[1, 0, 0]], "ineq": [[0, -4, -1], [0, -3, -2], [0, -3, '
+                '-1], [0, -2, -3], [0, -2, -1], [0, -1, -4], [0, -1, -3], [0, -1, -2], [0, -1, -1], [0, '
+                '-1, 0], [0, 0, -1]]}, {"eq": [[1, 1, 1]], "ineq": [[0, -5, -4], [0, -5, -3], [0, -4, '
+                '-5], [0, -4, -3], [0, -3, -5], [0, -3, -4], [0, -3, -2], [0, -2, -3], [0, -2, -1], [0, '
+                '-1, -2], [0, -1, -1]]}, {"eq": [[1, 1, 1]], "ineq": [[0, -2, 3], [0, -1, 1], [0, -1, '
+                '2], [0, -1, 3], [0, -1, 4], [0, 0, 1], [0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 1, 5], [0, '
+                '2, 5]]}, {"eq": [[1, 1, 1]], "ineq": [[0, 1, -1], [0, 1, 0], [0, 2, -1], [0, 2, 1], [0, '
+                '3, -2], [0, 3, -1], [0, 3, 1], [0, 4, -1], [0, 4, 1], [0, 5, 1], [0, 5, 2]]}], '
+                '"dim": 3, "full_sphere": false}\n'
+            ),
+        ),
+        "four": (
+            "x*y*z*w+x^2+y^2*w+z^2+w^3+x*z^-1+1",
+            "x,y,z,w",
+            (
+                '{"cells": [{"eq": [[0, 0, 0, 1]], "ineq": [[-1, -1, -1, 0], [-1, 0, 0, 0], [-1, 0, 1, '
+                '0], [0, -1, 0, 0], [0, 0, -1, 0]]}, {"eq": [[0, 0, 1, 0]], "ineq": [[-1, -1, 0, -1], '
+                '[-1, 0, 0, 0], [0, -2, 0, -1], [0, 0, 0, -1]]}, {"eq": [[0, 0, 2, -3]], "ineq": [[-2, '
+                '-2, 0, 1], [-2, 0, 0, 3], [-2, 0, 0, 9], [0, -1, 0, 1], [0, 0, 0, 1]]}, {"eq": [[0, 1, '
+                '0, -1]], "ineq": [[-2, 0, 0, 3], [-1, 0, -1, 1], [-1, 0, 1, 3], [0, 0, -2, 3], [0, 0, '
+                '0, 1]]}, {"eq": [[0, 2, -2, 1]], "ineq": [[-2, 0, 0, -1], [-1, 0, 1, 0], [-1, 0, 3, 0], '
+                '[0, 0, 1, 0], [0, 0, 2, -3]]}, {"eq": [[0, 2, 0, 1]], "ineq": [[-2, 0, -2, -1], [-1, 0, '
+                '0, 0], [-1, 0, 1, 0], [0, 0, -1, 0], [0, 0, 0, -1]]}, {"eq": [[1, -2, -1, -1]], '
+                '"ineq": [[0, -2, -2, -1], [0, -1, -2, -1], [0, 1, 0, -1], [0, 2, -2, 1], [0, 2, 0, '
+                '1]]}, {"eq": [[1, -1, -1, -1]], "ineq": [[0, 0, 2, 1], [0, 1, 0, 1], [0, 1, 1, 1], [0, '
+                '1, 2, 1], [0, 2, 2, -1]]}, {"eq": [[1, -1, 1, 0]], "ineq": [[0, 0, 2, 1], [0, 1, 0, '
+                '-1], [0, 1, 2, 1], [0, 2, -2, 1], [0, 2, 0, 1]]}, {"eq": [[1, 0, -1, -3]], "ineq": [[0, '
+                '-1, -2, -1], [0, -1, 0, 1], [0, 0, -2, -3], [0, 0, -2, 3], [0, 0, 0, 1]]}, {"eq": [[1, '
+                '0, -1, 0]], "ineq": [[0, -2, 0, -1], [0, -1, -2, -1], [0, 0, -1, 0], [0, 0, 0, -1]]}, '
+                '{"eq": [[1, 0, -1, 0]], "ineq": [[0, -2, 2, -1], [0, -1, 0, -1], [0, 0, 1, 0], [0, 0, '
+                '2, -3]]}, {"eq": [[1, 0, 1, 0]], "ineq": [[0, -2, -2, -1], [0, -1, -2, -1], [0, 0, -2, '
+                '-3], [0, 0, -1, 0]]}, {"eq": [[1, 1, -1, 1]], "ineq": [[0, -2, 2, -1], [0, 0, 1, 0], '
+                '[0, 0, 2, -3], [0, 1, 0, 1], [0, 1, 2, 1]]}, {"eq": [[1, 1, 1, -2]], "ineq": [[0, -1, '
+                '0, 1], [0, 0, -2, 3], [0, 0, 0, 1], [0, 1, 2, 1], [0, 2, 2, -1]]}, {"eq": [[2, -2, 0, '
+                '-1]], "ineq": [[0, 0, -2, -1], [0, 1, 0, -1], [0, 2, -2, 1], [0, 2, 0, 1], [0, 2, 2, '
+                '1]]}, {"eq": [[2, 0, 0, -3]], "ineq": [[0, -2, -2, 1], [0, -1, 0, 1], [0, 0, -2, 3], '
+                '[0, 0, 0, 1], [0, 0, 2, 3]]}], "dim": 4, "full_sphere": false}\n'
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDENS_PAST_TWO))
+    def test_golden_past_two_variables(self, capsys, tmp_path, name):
+        poly, variables, golden = self.GOLDENS_PAST_TWO[name]
+        path = tmp_path / f"{name}.txt"
+        path.write_text(poly + "\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["sphdual", str(path), "--vars", variables])
+        assert rc == 0 and err == ""
+        assert out == "".join(golden)
+
     def test_matches_library(self, capsys, triangle_file):
         rc, out, _ = run_cli(capsys, ["sphdual", triangle_file, "--vars", "x,y"])
         lib = spherical_dual(parse("x+y+1", ("x", "y"))).to_json_dict()

@@ -10,7 +10,9 @@ import pytest
 
 from conftest import (
     analyze_per_candidate,
+    canonical_rows_fraction,
     contains_strict_lp,
+    dot,
     primitive_vectors_py,
     random_laurent,
     rref_fraction,
@@ -24,7 +26,6 @@ from loglimset.exactgeom import (
     balance,
     cone_contains,
     cone_dimension,
-    dot,
     exact_rank,
     interior_point,
     intersect,
@@ -101,6 +102,65 @@ class TestCanonicalisation:
             grew += len(s.equalities) > rank
             grew_by_two += len(s.equalities) > rank + 1
         assert grew >= 150 and grew_by_two >= 50, (grew, grew_by_two)
+
+    def test_matches_fraction_reference(self):
+        # make against canonical_rows_fraction on seeded systems with every
+        # kind of row make has to canonicalise, then the same system built
+        # from shuffled, positively scaled rows
+        rng = random.Random(2828)
+
+        def shuffled_scaled(rows):
+            out = []
+            for row in rows:
+                k = rng.randint(1, 5)
+                out.append([k * int(x) for x in row])
+            rng.shuffle(out)
+            return out
+
+        promoted = promoted_late = numpy_systems = 0
+        for _ in range(1200):
+            m = rng.randint(2, 5)
+            eqs = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(0, 3))]
+            ineqs = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rng.randint(1, 6))]
+            for _ in range(rng.randint(1, 4)):
+                r = rng.choice(ineqs)
+                k = rng.randint(1, 3)
+                e = [sum(rng.randint(-2, 2) * q[i] for q in eqs) for i in range(m)]
+                kind = rng.randrange(6)
+                if kind == 0:  # a non-primitive multiple, or a duplicate
+                    ineqs.append([k * a for a in r])
+                elif kind == 1:  # a zero row
+                    rng.choice((eqs, ineqs)).append([0] * m)
+                elif kind == 2:  # a row in the equality span
+                    ineqs.append(e)
+                elif kind == 3:  # opposite to r modulo the equalities
+                    ineqs.append([-k * a + b for a, b in zip(r, e)])
+                elif kind == 4:  # t and -(t + k r) are opposite once r and -r are promoted
+                    t = [rng.randint(-3, 3) for _ in range(m)]
+                    ineqs += [[-a for a in r], t, [-(a + k * b) for a, b in zip(t, r)]]
+                else:  # entries past 2^63
+                    ineqs.append([a * 2**64 + rng.randint(-1, 1) for a in r])
+            if rng.random() < 0.3 and all(abs(x) < 2**63 for row in eqs + ineqs for x in row):
+                eqs = np.array(eqs, dtype=np.int64).reshape(-1, m)
+                ineqs = np.array(ineqs, dtype=np.int64)
+                numpy_systems += 1
+            s = LinearSystem.make(m, eqs, ineqs)
+            assert (s.equalities, s.inequalities) == canonical_rows_fraction(eqs, ineqs), (m, eqs, ineqs)
+            assert all(type(x) is int for row in s.equalities + s.inequalities for x in row)
+            rank = exact_rank([list(map(int, row)) for row in eqs])
+            promoted += len(s.equalities) > rank
+            promoted_late += len(s.equalities) > rank + 1
+
+            t = LinearSystem.make(m, shuffled_scaled(eqs), shuffled_scaled(ineqs))
+            assert t == s and t is not s, (m, eqs, ineqs)
+            assert hash(s) == hash((s.dim, s.equalities, s.inequalities)) == hash(t)
+            assert len({s, t}) == 1
+            cone_dimension(s)
+            before = exactgeom._analyze.cache_info()
+            cone_dimension(t)
+            after = exactgeom._analyze.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses), s
+        assert promoted >= 300 and promoted_late >= 100 and numpy_systems >= 200, (promoted, promoted_late, numpy_systems)
 
     def test_zero_rows_dropped(self):
         s = LinearSystem.make(3, equalities=[(0, 0, 0)], inequalities=[(0, 0, 0)])
@@ -246,6 +306,16 @@ class TestLowLevel:
     def test_primitive_vector(self):
         assert primitive_vector((4, -6)) == (2, -3)
         assert primitive_vector((0, 0)) is None
+        assert primitive_vector([0, 0, 0]) is None
+        # a list comes back as a tuple, with gcd 1 too
+        assert primitive_vector([6, -9]) == (2, -3)
+        assert primitive_vector([2, -3]) == (2, -3)
+        assert type(primitive_vector([2, -3])) is tuple
+        assert primitive_vector((-5, 0, 7)) == (-5, 0, 7)
+        assert primitive_vector((-4, -8)) == (-1, -2)
+        big = 2**64 + 1
+        assert primitive_vector((3 * big, -6 * big)) == (1, -2)
+        assert primitive_vector([big, 2**63]) == (big, 2**63)
         rng = random.Random(5)
         for _ in range(200):
             v = tuple(rng.randint(-12, 12) for _ in range(rng.randint(1, 5)))

@@ -38,14 +38,21 @@ class TestPairCone:
         support = [(1, 0), (0, 1), (0, 0)]
         cone = pair_cone(support, (1, 0), (0, 1))
         assert cone == LinearSystem.make(2, equalities=[(1, -1)], inequalities=[(0, 1)])
-        assert cone.satisfied_by((1, 1))
-        assert not cone.satisfied_by((-1, -1))
+        for xi in ((1, 1), np.array((1, 1), dtype=np.int64), (2**70, 2**70)):
+            assert cone.satisfied_by(xi)
+        for xi in ((-1, -1), np.array((-1, -1), dtype=np.int64), (2**70, 2**70 - 1)):
+            assert not cone.satisfied_by(xi)
 
     def test_segment_pair_is_a_line(self):
-        support = [(6, 1), (0, 0)]
-        cone = pair_cone(support, (6, 1), (0, 0))
-        assert cone == LinearSystem.make(2, equalities=[(6, 1)])
-        assert cone.satisfied_by((1, -6)) and cone.satisfied_by((-1, 6))
+        for a in (6, 2**70 + 1):
+            support = [(a, 1), (0, 0)]
+            cone = pair_cone(support, (a, 1), (0, 0))
+            assert cone == LinearSystem.make(2, equalities=[(a, 1)])
+            assert cone.satisfied_by((1, -a)) and cone.satisfied_by((-1, a))
+            assert not cone.satisfied_by((1, 1 - a)) and not cone.satisfied_by((0, 1))
+        cone = pair_cone([(6, 1), (0, 0)], (6, 1), (0, 0))
+        assert cone.satisfied_by(np.array((-1, 6), dtype=np.int64))
+        assert not cone.satisfied_by(np.array((1, -5), dtype=np.int64))
 
     def test_pair_order_does_not_matter(self):
         rng = random.Random(17)
