@@ -2,19 +2,22 @@
 
 Cones are described by homogeneous integer linear systems (rows meaning
 ``row . xi = 0`` or ``row . xi >= 0``).  Everything is exact and stays in
-the integers: elimination is fraction-free (a row is reduced against a pivot
-row with ``p*row - f*prow``, p > 0, and kept primitive), and feasibility
-uses a phase-1 simplex with fraction-free integer pivoting (Bareiss) and
-Bland's anti-cycling rule.  Every LP asks one question (:func:`balance`):
-is there a nonnegative combination of some rows that is zero and weighs a
-chosen subset?  By Gordan's alternative, when there is none the Farkas
-certificate is a point strictly positive on that subset and nonnegative on
-every row.  Cone analysis and containment both ask it of a cone's signed
-rows (the inequalities, and each equality with both signs) in the ambient
-coordinates.  Cone dimension comes from the implicit equalities, the
-inequalities that vanish on the whole cone: each combination found names
-more of them, until none is left and the certificate point is a
-relative-interior point, or they leave only the zero cone.
+the integers: elimination is fraction-free (a row is reduced against a
+pivot row with ``p*row - f*prow``, p > 0, and kept primitive), and
+feasibility uses a revised phase-1 simplex with Bland's anti-cycling rule:
+it stores only D times the inverse basis, D the basis determinant (the
+artificial block of a fraction-free tableau, so every division is exact),
+and prices columns on demand.  Every LP asks one question
+(:func:`balance`): is there a nonnegative combination of some rows that is
+zero and weighs a chosen subset?  By Gordan's alternative, when there is
+none the simplex multipliers are a Farkas certificate: a point strictly
+positive on that subset and nonnegative on every row.  Cone analysis and
+containment both ask it of a cone's signed rows (the inequalities, and each
+equality with both signs) in the ambient coordinates.  Cone dimension comes
+from the implicit equalities, the inequalities that vanish on the whole
+cone: each combination found names more of them, until none is left and the
+certificate point is a relative-interior point, or they leave only the zero
+cone.
 """
 
 from __future__ import annotations
@@ -208,7 +211,7 @@ def intersect(s1: LinearSystem, s2: LinearSystem) -> LinearSystem:
 
 
 # ----------------------------------------------------------------------
-# phase-1 simplex (Bland's rule, exact fraction-free integer pivoting)
+# revised phase-1 simplex (Bland's rule, exact fraction-free integer pivoting)
 
 
 def solve_nonneg(
@@ -217,89 +220,72 @@ def solve_nonneg(
 ) -> Optional[list[int]]:
     """Find x >= 0 with A x = (0, ..., 0, 1) exactly, or None if infeasible.
 
-    The solution is returned in integers, as D times x for some D > 0.  The
-    tableau is kept in integers: every entry of T, b and the objective row
-    d, and the objective value, is D times its true value, where D is the
-    determinant of the current basis (D = 1 for the starting basis, one
-    artificial column per row).  A pivot on p = T[leave][enter] > 0 leaves
-    the pivot row as it is, maps every other entry a with multiplier
-    f = T[i][enter] to (p*a - f*c) // D, where c is the pivot row's entry in
-    a's column (an exact division, Bareiss 1968), and then sets D = p.
-    Since D > 0, sign tests and cross-multiplied ratio comparisons decide
-    exactly as on the true values.
+    The solution is returned in integers, as D times x for some D > 0.  A
+    revised simplex stores only M = D B^-1, for B the basis and D its
+    determinant (M = I, D = 1 for the artificial starting basis), and the
+    multipliers pi, the sum of M's rows on artificial basic columns.  M's
+    last column is D x_B.  Each pivot prices the columns of A in order by
+    d_j = pi . A_j, the first positive one enters (Bland's rule), and the
+    ratio test runs on alpha = M A_enter.  M is the artificial block of the
+    fraction-free tableau and pi - D that of its objective row, so a pivot
+    on p = alpha[leave] > 0 keeps the leaving row and maps every other entry
+    a, with multiplier f (alpha[i], or d_enter for pi), to (p*a - f*c) // D:
+    c is the leaving row's entry in a's column, and the division is exact
+    (Bareiss 1968).  Then D = p > 0, so signs and cross-multiplied ratios
+    decide as on the true values.
 
-    When the LP is infeasible and ``certificate`` is a list, it is filled
-    with a Farkas certificate z, one integer per row of A: ``z^T A <= 0``
-    and ``z[-1] > 0``, so no x >= 0 solves the system.  It is D times the
-    phase-1 simplex multipliers, read off the final objective row at each
-    row's artificial column as its entry plus D (the column's cost).  T and
-    d carry the artificial columns only when a certificate is asked for.
+    The phase-1 objective, D times the sum of the artificials, is pi[-1].
+    When it stays positive the LP is infeasible and pi is a Farkas
+    certificate, one integer per row of A: ``pi^T A <= 0`` and
+    ``pi[-1] > 0``; ``certificate``, if a list, is filled with it.
     """
     m = len(rows)
-    n = len(rows[0])
-    T = [list(row) for row in rows]
-    b = [0] * (m - 1) + [1]
+    columns = list(zip(*rows))
+    n = len(columns)
+    M = [[int(k == i) for k in range(m)] for i in range(m)]
+    pi = [1] * m
     basis = list(range(n, n + m))
-
-    # phase-1 objective: minimise the sum of artificials.  d[j] is the rate
-    # at which the objective drops when structural column j enters.  The
-    # artificial columns never re-enter, so T and d store them only for a
-    # certificate; a basic column's entry of d starts at 0.
-    d = list(map(sum, zip(*T)))
-    if certificate is not None:
-        for i in range(m):
-            T[i] += [int(k == i) for k in range(m)]
-        d += [0] * m
-    value = 1
     D = 1
 
     while True:
-        enter = -1
-        for j in range(n):
-            if d[j] > 0:
-                enter = j
+        for enter, col in enumerate(columns):
+            f = sum(map(operator.mul, pi, col))
+            if f > 0:
                 break
-        if enter < 0:
+        else:
             break
+        alpha = [sum(map(operator.mul, row, col)) for row in M]
         leave = -1
-        for i in range(m):
-            coef = T[i][enter]
+        for i, coef in enumerate(alpha):
             if coef > 0:
                 if leave < 0:
                     leave = i
                     continue
-                # ratio b[i] / coef against b[leave] / T[leave][enter]
-                here = b[i] * T[leave][enter]
-                best = b[leave] * coef
+                # ratio x_i / coef against x_leave / alpha[leave]
+                here = M[i][-1] * alpha[leave]
+                best = M[leave][-1] * coef
                 if here < best or (here == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise ArithmeticError("phase-1 objective unbounded; inconsistent tableau")
-        prow = T[leave]
-        p = prow[enter]
-        bl = b[leave]
+        prow = M[leave]
+        p = alpha[leave]
         for i in range(m):
-            if i == leave:
-                continue
-            f = T[i][enter]
-            if f or p != D:
-                T[i] = [(p * a - f * c) // D for a, c in zip(T[i], prow)]
-                b[i] = (p * b[i] - f * bl) // D
-        f = d[enter]
-        if f or p != D:
-            d = [(p * a - f * c) // D for a, c in zip(d, prow)]
-            value = (p * value - f * bl) // D
+            g = alpha[i]
+            if i != leave and (g or p != D):
+                M[i] = [(p * a - g * c) // D for a, c in zip(M[i], prow)]
+        pi = [(p * a - f * c) // D for a, c in zip(pi, prow)]
         D = p
         basis[leave] = enter
 
-    if value != 0:
+    if pi[-1]:
         if certificate is not None:
-            certificate[:] = [v + D for v in d[n:]]
+            certificate[:] = pi
         return None
     y = [0] * n
     for i, j in enumerate(basis):
         if j < n:
-            y[j] = b[i]
+            y[j] = M[i][-1]
     return y
 
 
@@ -315,9 +301,10 @@ def balance(
     over the weighted rows = 1``.  By Gordan's alternative there is no lam
     exactly when some point is strictly positive on every weighted row and
     nonnegative on every row; when ``point`` is a list it is then filled
-    with such an integer point, minus the first ``len(row)`` entries of the
-    Farkas certificate of :func:`solve_nonneg`.  Every row with lam > 0
-    vanishes on the cone that the rows cut out.
+    with such an integer point: minus the simplex multipliers of the
+    coordinate equations, the first ``len(row)`` entries of the Farkas
+    certificate of :func:`solve_nonneg`.  Every row with lam > 0 vanishes
+    on the cone that the rows cut out.
     """
     dim = len(rows[0])
     chosen = set(weighted)

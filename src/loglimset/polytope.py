@@ -9,6 +9,9 @@ LP only runs on the doubtful points.  A direction is maximised on a face of
 the hull, and the lexicographically least and greatest points of a face
 are vertices of it (lex order is a linear functional in the limit), so the
 sweep marks both, tied or not, and it stops once every point is marked.
+A direction's values are the points' coordinate columns added or
+subtracted by its signs: the sweep keeps the partial sums at every depth
+and rebuilds only those past the prefix shared with the last direction.
 
 A point that is not a vertex does not change the hull, so each point an LP
 proves to be a non-vertex leaves the columns of every later LP.  The
@@ -21,9 +24,10 @@ halves it on product supports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable
 
 from .exactgeom import balance, int_entries, exact_rank
@@ -44,6 +48,15 @@ def _sweep_directions(dim: int) -> list[tuple[int, ...]]:
     return dirs
 
 
+@functools.cache
+def _sweep_steps(dim: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The sweep directions in order as (k, entries from k on), k the length
+    of the prefix each shares with the one before."""
+    dirs = _sweep_directions(dim)
+    shared = [next(i for i, (a, b) in enumerate(zip(d, prev)) if a != b) for prev, d in zip(dirs, dirs[1:])]
+    return tuple((k, d[k:]) for k, d in zip([0] + shared, dirs))
+
+
 def extreme_points(points: Iterable[ExponentVector], dim: int) -> frozenset[ExponentVector]:
     """The vertices of the convex hull of a finite lattice point set."""
     pts = sorted({int_entries(p, "point") for p in points})
@@ -54,8 +67,14 @@ def extreme_points(points: Iterable[ExponentVector], dim: int) -> frozenset[Expo
         return frozenset(pts)
     vertices: set[ExponentVector] = set()
     last = len(pts) - 1
-    for direction in _sweep_directions(dim):
-        values = [sum(map(mul, direction, p)) for p in pts]
+    columns = list(zip(*pts))
+    # prefix[k]: the values of the first k coordinates of the last direction
+    prefix = [[0] * len(pts)]
+    for k, tail in _sweep_steps(dim):
+        del prefix[k + 1 :]
+        for c, column in zip(tail, columns[k:]):
+            prefix.append(list(map(add if c > 0 else sub, prefix[-1], column)) if c else prefix[-1])
+        values = prefix[-1]
         best = max(values)
         # pts is sorted: the lexicographically least and greatest maximisers
         vertices.add(pts[values.index(best)])

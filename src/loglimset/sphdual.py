@@ -63,13 +63,14 @@ def pair_cone(
 
 def reduce_to_maximal(cells: Iterable[LinearSystem]) -> tuple[LinearSystem, ...]:
     """Drop each cell that another cell contains; of equal cones the lex-least
-    system stays.  By transitivity every dropped cell lies in a kept one."""
+    system stays.  By transitivity every dropped cell lies in a kept one.  A
+    maximal, lex-least container is never dropped, so dropped cells are skipped."""
     ordered = sorted(set(cells))  # each system once, so identity tells the other cells apart
-    return tuple(
-        a
-        for a in ordered
-        if not any(b is not a and cone_contains(a, b) and (b < a or not cone_contains(b, a)) for b in ordered)
-    )
+    live = list(ordered)  # the cells not dropped so far
+    for a in ordered:
+        if any(b is not a and cone_contains(a, b) and (b < a or not cone_contains(b, a)) for b in live):
+            live.remove(a)
+    return tuple(live)
 
 
 def _support_cells(support: frozenset[ExponentVector]) -> tuple[LinearSystem, ...]:

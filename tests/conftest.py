@@ -23,6 +23,7 @@ from mpmath import mp
 import loglimset
 from loglimset.exactgeom import (
     LinearSystem,
+    cone_contains,
     cone_dimension,
     exact_rank,
     nullspace_basis,
@@ -318,6 +319,18 @@ def contains_strict_lp(inner: LinearSystem, outer: LinearSystem) -> bool:
 
     rows = signed(inner)
     return all(strict_feasible(rows, [tuple(-x for x in r)]) is None for r in signed(outer))
+
+
+# Reference maximal reduction that tries every ordered pair of cells, also
+# against cells it has dropped, as sphdual.reduce_to_maximal did before it
+# skipped them.
+def reduce_to_maximal_all_pairs(cells) -> tuple[LinearSystem, ...]:
+    ordered = sorted(set(cells))
+    return tuple(
+        a
+        for a in ordered
+        if not any(b != a and cone_contains(a, b) and (b < a or not cone_contains(b, a)) for b in ordered)
+    )
 
 
 # Reference cells of one support, built from every pair of support points: the

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import subprocess_env
-from loglimset import cli
+from conftest import in_convex_hull_fraction, subprocess_env
+from loglimset import cli, polytope
+from loglimset.exactgeom import balance
 from loglimset.knots import TorusKnotParams, a_polynomial
 from loglimset.laurent import MAX_NESTING, parse
 from loglimset.loglim import loglim_outer
@@ -40,6 +41,34 @@ class TestNewton:
         rc, out, err = run_cli(capsys, ["newton", triangle_file, "--vars", "x,y"])
         assert rc == 0 and err == ""
         assert out == '{"dim": 2, "empty": false, "vertices": [[0, 0], [0, 1], [1, 0]]}\n'
+
+    def test_golden_in_four_variables(self, capsys, tmp_path, monkeypatch):
+        # CI's newton golden in x,y,z,w: 44 support points, 27 vertices; the
+        # sweep leaves 21 points to hull LPs, 4 of them vertices
+        outcomes = []
+
+        def recording(rows, weighted, *rest):
+            lam = balance(rows, weighted, *rest)
+            outcomes.append(lam is None)
+            return lam
+
+        monkeypatch.setattr(polytope, "balance", recording)
+        text = "(1+x*y+z+w)*(1+x+y*z*w)*(1+x+y+z+w)"
+        path = tmp_path / "four.txt"
+        path.write_text(text + "\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["newton", str(path), "--vars", "x,y,z,w"])
+        assert rc == 0 and err == ""
+        assert out == (
+            '{"dim": 4, "empty": false, "vertices": [[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0], [0, 1, 0, 0], '
+            "[0, 1, 0, 1], [0, 1, 1, 0], [0, 1, 1, 3], [0, 1, 3, 1], [0, 2, 1, 1], [0, 2, 1, 2], [0, 2, 2, 1], "
+            "[1, 0, 0, 2], [1, 0, 2, 0], [1, 1, 1, 2], [1, 1, 2, 1], [1, 2, 0, 0], [1, 2, 1, 2], [1, 2, 2, 1], "
+            "[1, 3, 1, 1], [2, 0, 0, 0], [2, 0, 0, 1], [2, 0, 1, 0], [2, 1, 0, 1], [2, 1, 1, 0], [2, 2, 0, 0], "
+            "[2, 2, 1, 1], [3, 1, 0, 0]]}\n"
+        )
+        assert outcomes.count(True) == 4 and outcomes.count(False) == 17
+        support = sorted(parse(text, ("x", "y", "z", "w")).support())
+        vertices = [p for p in support if not in_convex_hull_fraction(p, [q for q in support if q != p])]
+        assert json.loads(out)["vertices"] == [list(p) for p in vertices]
 
     def test_matches_library(self, capsys, trefoil_file):
         rc, out, _ = run_cli(capsys, ["newton", trefoil_file, "--vars", "m,l"])

@@ -384,6 +384,46 @@ def _random_balance_rows(rng: random.Random) -> tuple[list[tuple[int, ...]], lis
     return rows + [u for u in units if u not in weighted], weighted
 
 
+def _dense_points(rng: random.Random, m: int) -> list[tuple[int, ...]]:
+    """16-61 points of a small box in m = 3-6 coordinates."""
+    radius = 2 if m == 3 else 1
+    box = list(itertools.product(range(-radius, radius + 1), repeat=m))
+    return rng.sample(box, rng.randint(16, 61))
+
+
+def _hull_lp_rows(rng: random.Random) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The hull LP of polytope.extreme_points: the differences q - p of a
+    dense support, every one weighted.  p is the lex-least point, a vertex,
+    or the point nearest the centroid, mostly not one."""
+    pts = _dense_points(rng, rng.randint(3, 6))
+    sums = [sum(column) for column in zip(*pts)]
+    deepest = min(pts, key=lambda q: sum((len(pts) * x - t) ** 2 for x, t in zip(q, sums)))
+    p = rng.choice((min(pts), deepest))
+    diffs = [tuple(a - b for a, b in zip(q, p)) for q in pts if q != p]
+    rng.shuffle(diffs)
+    return diffs, diffs
+
+
+def _analyze_lp_rows(rng: random.Random) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The first LP of _analyze on a cone of m = 3-6 coordinates and 15-60
+    random rows, sometimes under an equality: its signed rows, the
+    inequalities weighted.  Most rows are flipped to be nonnegative at a
+    hidden point c, orthogonal to the equality, so the cone often has an
+    interior point and the LP then has none.  Drawn again until at least
+    15 signed rows are left."""
+    while True:
+        m = rng.randint(3, 6)
+        c = [rng.randint(1, 3) * rng.choice((-1, 1)) for _ in range(m)]
+        rows = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(rng.randint(15, 60))]
+        rows = [r if dot(r, c) >= 0 or rng.random() < 0.03 else tuple(-x for x in r) for r in rows]
+        i, j = rng.sample(range(m), 2)
+        eqs = [tuple(c[j] if k == i else -c[i] if k == j else 0 for k in range(m))] if rng.random() < 0.3 else []
+        s = LinearSystem.make(m, eqs, rows)
+        signed = exactgeom._signed_rows(s)
+        if len(signed) >= 15:
+            return list(signed), list(s.inequalities)
+
+
 class TestFractionFreeKernel:
     """solve_nonneg against the Fraction-tableau simplex kept in conftest."""
 
@@ -408,6 +448,30 @@ class TestFractionFreeKernel:
         # both outcomes, and LPs with and without unit columns, must be well
         # represented for the comparison to mean much
         assert 400 < infeasible < 1600 and 300 < unit < 1800, (infeasible, unit)
+
+    @pytest.mark.parametrize("shape", [_hull_lp_rows, _analyze_lp_rows])
+    def test_matches_fraction_kernel_on_wide_lps(self, shape):
+        # 4-7 LP rows over 15-60 columns or more; the random systems above
+        # have a median of 7 columns and reach 15 once in 2 000
+        rng = random.Random(2929)
+        outcomes = {True: 0, False: 0}
+        for _ in range(100):
+            rows, weighted = shape(rng)
+            A = _balance_lp(rows, weighted)
+            assert len(rows) >= 15
+            expected = solve_nonneg_fraction(A, [0] * (len(A) - 1) + [1])
+            z: list = []
+            lam = solve_nonneg(A, z)
+            outcomes[lam is None] += 1
+            if expected is None:
+                assert lam is None, (rows, weighted)
+                assert len(z) == len(A) and all(type(v) is int for v in z)
+                assert all(dot(z, col) <= 0 for col in zip(*A)) and z[-1] > 0, (rows, weighted, z)
+                continue
+            assert z == [] and all(type(v) is int for v in lam)
+            D = dot(A[-1], lam)
+            assert D > 0 and [Fraction(v, D) for v in lam] == expected, (rows, weighted)
+        assert min(outcomes.values()) >= 30, outcomes
 
     def test_bland_breaks_equal_ratios_by_least_basic_column(self):
         # balance((-2, -2), (-1, 0), (-1, 2), (2, 1)) weighing the last row.

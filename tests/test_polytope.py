@@ -209,7 +209,7 @@ def _dense_support(rng, m):
     n = rng.randint(20, 60)
     kind = rng.choice(("box", "line", "plane"))
     if kind == "box" or (kind == "plane" and m == 2):
-        radius = {2: 4, 3: 2, 4: 2}[m]
+        radius = {2: 4, 3: 2, 4: 2, 5: 1, 6: 1}[m]
         cube = list(itertools.product(range(-radius, radius + 1), repeat=m))
         return set(rng.sample(cube, n))
     base = [rng.randint(-3, 3) for _ in range(m)]
@@ -230,7 +230,9 @@ class TestHullLemma:
     # p is not in conv(S - {p, q}), so extreme_points drops each proven
     # non-vertex from its later LPs
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    # m = 5 and 6 take the axis-only sweep, and most hull LPs there have
+    # 6-7 rows
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_dense_supports_match_the_fraction_hull_lp(self, m):
         rng = random.Random(1800 + m)
         dropped = 0

@@ -10,12 +10,14 @@ from conftest import (
     primitive_vectors_py,
     random_laurent,
     rational_points_grid,
+    reduce_to_maximal_all_pairs,
     split_link_generators,
     support_cells_all_pairs,
     support_max_twice,
 )
 from loglimset import sphdual
-from loglimset.exactgeom import LinearSystem, cone_dimension, rref
+from loglimset.exactgeom import LinearSystem, cone_contains, cone_dimension, rref
+from loglimset.exactgeom import intersect as intersect_systems
 from loglimset.laurent import LaurentPolynomial, parse
 from loglimset.loglim import loglim_outer
 from loglimset.sphdual import (
@@ -538,6 +540,45 @@ class TestMaximalReduction:
         ray = LinearSystem.make(2, equalities=[(1, -1)], inequalities=[(0, 1)])
         quadrant = LinearSystem.make(2, inequalities=[(1, 0), (0, 1)])
         assert reduce_to_maximal([ray, quadrant]) == (quadrant,)
+
+    def test_dropped_cells_are_not_tried_as_containers(self, monkeypatch):
+        # two planes in three variables: 4 of the intersection's pieces lie
+        # inside others; trying every ordered pair took 126 containment tests
+        calls = []
+
+        def counting(inner, outer):
+            calls.append((inner, outer))
+            return cone_contains(inner, outer)
+
+        monkeypatch.setattr(sphdual, "cone_contains", counting)
+        variables = ("x", "y", "z")
+        f, g = parse("x+y+z+1", variables), parse("x+2*y+3*z+4", variables)
+        cells = loglim_outer([f, g]).cells
+        assert len(calls) == 104
+        pieces = {intersect_systems(a, b) for a in spherical_dual(f).cells for b in spherical_dual(g).cells}
+        assert len(cells) == 6 and cells == reduce_to_maximal_all_pairs(s for s in pieces if cone_dimension(s) > 0)
+
+    def test_same_cells_as_trying_every_pair(self):
+        # sphdual.intersect's pieces of the duals of two random supports in
+        # {0, 1}^m, m 2-4, whose cells often nest
+        rng = random.Random(2929)
+        dropped = nested_in_dropped = 0
+        for _ in range(100):
+            m = rng.randint(2, 4)
+            variables = ("x", "y", "z", "w")[:m]
+            c1, c2 = (
+                spherical_dual(random_laurent(rng, variables, max_terms=m + 1, exp_lo=0, exp_hi=1, min_terms=2))
+                for _ in range(2)
+            )
+            pieces = {intersect_systems(a, b) for a in c1.cells for b in c2.cells}
+            pieces = sorted(s for s in pieces if cone_dimension(s) > 0)
+            expected = reduce_to_maximal_all_pairs(pieces)
+            assert reduce_to_maximal(pieces) == expected, pieces
+            lost = [a for a in pieces if a not in expected]
+            dropped += len(lost)
+            # a piece inside a dropped piece: the skip saves its tests
+            nested_in_dropped += sum(cone_contains(a, b) for a in pieces for b in lost if a is not b)
+        assert dropped >= 50 and nested_in_dropped >= 20, (dropped, nested_in_dropped)
 
     def test_no_cell_contains_another_after_dual(self):
         rng = random.Random(55)
