@@ -3,9 +3,10 @@
 Cones are described by homogeneous integer linear systems (rows meaning
 ``row . xi = 0`` or ``row . xi >= 0``).  Everything is exact and stays in
 the integers: elimination is fraction-free (a row is reduced against a
-pivot row with ``p*row - f*prow``, p > 0, and kept primitive), and
-feasibility uses a revised phase-1 simplex with Bland's anti-cycling rule:
-it stores only D times the inverse basis, D the basis determinant (the
+pivot row with ``p*row - f*prow``, p > 0, and kept primitive), a null
+space is read off the RREF by one back-substitution, and feasibility uses
+a revised phase-1 simplex with Bland's anti-cycling rule: it stores only D
+times the inverse basis, D the basis determinant (the
 artificial block of a fraction-free tableau, so every division is exact),
 and prices columns on demand.  Every LP asks one question
 (:func:`balance`): is there a nonnegative combination of some rows that is
@@ -96,24 +97,26 @@ def exact_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(pivots)
 
 
-def nullspace_basis(rows: Iterable[Sequence[int]], width: int) -> list[IntRow]:
-    """Primitive integer basis of {x : row . x = 0 for all rows}.
-
-    The vector of free column j is the rational one (1 at j, ``-prow[j]/p``
-    at each pivot) scaled by the lcm of the pivots p.
-    """
+def nullspace_lift(rows: Iterable[Sequence[int]], width: int) -> tuple[list[int], list[list[int]], list[int]]:
+    """(free, lift, denom) of {x : row . x = 0}, by one back-substitution
+    from the RREF: over values g of the free columns, ``x_j = lift[j] . g /
+    denom[j]``, a pivot's ``-prow[free] / p`` and a free column's unit row."""
     pivots, reduced = rref(rows)
-    scale = lcm(*(prow[pcol] for prow, pcol in zip(reduced, pivots)))
-    basis: list[IntRow] = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        vec = [0] * width
-        vec[free] = scale
-        for prow, pcol in zip(reduced, pivots):
-            vec[pcol] = -prow[free] * (scale // prow[pcol])
-        basis.append(primitive_vector(vec))
-    return basis
+    free = [j for j in range(width) if j not in pivots]
+    lift = [[int(j == f) for f in free] for j in range(width)]
+    denom = [1] * width
+    for prow, pcol in zip(reduced, pivots):
+        lift[pcol] = [-prow[f] for f in free]
+        denom[pcol] = prow[pcol]
+    return free, lift, denom
+
+
+def nullspace_basis(rows: Iterable[Sequence[int]], width: int) -> list[IntRow]:
+    """Primitive integer basis of {x : row . x = 0 for all rows}: the lift
+    column of each free column, scaled by the lcm of the pivots."""
+    free, lift, denom = nullspace_lift(rows, width)
+    scale = lcm(*denom)
+    return [primitive_vector([row[i] * (scale // d) for row, d in zip(lift, denom)]) for i in range(len(free))]
 
 
 # ----------------------------------------------------------------------
@@ -339,19 +342,16 @@ def _unit_solution(equalities: Sequence[IntRow], rows: Sequence[IntRow], width: 
     together; None if they are not, or there are no rows.
 
     Such rows never balance, so y is a relative-interior witness that needs
-    no LP: one exact solve, free unknowns set to 0, scaled by the lcm of the
-    pivots.
+    no LP: the null vector of ``[eq 0; row -1]`` with last coordinate 1 and
+    the other free unknowns 0, scaled by the lcm of the pivots.
     """
     if not rows or len(equalities) + len(rows) > width:
         return None
-    pivots, reduced = rref([eq + (0,) for eq in equalities] + [row + (1,) for row in rows])
-    if len(pivots) < len(equalities) + len(rows) or width in pivots:
+    free, lift, denom = nullspace_lift([eq + (0,) for eq in equalities] + [row + (-1,) for row in rows], width + 1)
+    if free[-1] != width or width + 1 - len(free) < len(equalities) + len(rows):
         return None
-    scale = lcm(*(prow[pcol] for prow, pcol in zip(reduced, pivots)))
-    y = [0] * width
-    for prow, pcol in zip(reduced, pivots):
-        y[pcol] = prow[width] * (scale // prow[pcol])
-    return y
+    scale = lcm(*denom)
+    return [row[-1] * (scale // d) for row, d in zip(lift[:width], denom)]
 
 
 # bounded so that a long-lived process cannot grow it without limit; a whole

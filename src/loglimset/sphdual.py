@@ -24,7 +24,7 @@ from .exactgeom import (
     cone_dimension,
     int_entries,
     interior_point,
-    rref,
+    nullspace_lift,
 )
 from .exactgeom import intersect as intersect_systems
 from .laurent import ExponentVector, LaurentPolynomial
@@ -218,33 +218,19 @@ def _grid_blocks(dim: int, height: int):
         yield np.transpose(np.unravel_index(flat, shape)) - height
 
 
-def _lift(cell: LinearSystem) -> tuple[list[list[int]], list[int], list]:
-    """Lift rows, denominators and echelon rows of a cell.  The free
-    coordinates are the non-pivot columns of the equalities' echelon form;
-    over free values g, coordinate j of a point is ``lift[j] . g / denom[j]``,
-    which solves ``p * x_pivot = -sum a_j x_j`` for each pivot."""
-    pivots, echelon = rref(cell.equalities)
-    free = [j for j in range(cell.dim) if j not in pivots]
-    lift = [[int(j == f) for f in free] for j in range(cell.dim)]
-    denom = [1] * cell.dim
-    for row, col in zip(echelon, pivots):
-        lift[col] = [-row[f] for f in free]
-        denom[col] = row[col]
-    return lift, denom, echelon
-
-
 def _stack_points(stack: list, height: int):
     """Blocks of the primitive vectors of max-norm <= height in a stack of
-    cells that leave the same number k of coordinates free.
+    (cell, lift, denom) entries that leave the same number k of coordinates
+    free, lift and denom from ``exactgeom.nullspace_lift`` of the equalities.
 
     Each grid block of [-height, height]^k is lifted into every cell at once
     through a lift tensor (cells, m, k); the inequality rows are zero-padded
     to a common count.  Arrays are laid out (cells, m, vectors), so the
     checks reduce over slabs rather than along short rows.
     """
-    cells, lifts, denoms, echelons = zip(*stack)
+    cells, lifts, denoms = zip(*stack)
     dim, k = cells[0].dim, len(lifts[0][0])
-    rows = [row for cell, echelon in zip(cells, echelons) for row in echelon + list(cell.inequalities)]
+    rows = [row for cell, lift, denom in stack for row in [*lift, denom, *cell.inequalities]]
     maxabs = max((abs(x) for row in rows for x in row), default=0)
     dtype = np.int64 if maxabs * height * dim < _INT64_SAFE else object
     lift = np.array(lifts, dtype=dtype).reshape(len(stack), dim, k)
@@ -276,7 +262,8 @@ def rational_points(complex_: SphericalComplex, height: int) -> tuple[RationalDi
 
     A ray or a line (cone dimension 1) holds only plus and minus its
     generator, read off at any height.  Every other cell is walked through
-    the k coordinates its equalities leave free, (2h+1)^k vectors (the full
+    the k coordinates its equalities leave free, lifted by the (free, lift,
+    denom) of ``exactgeom.nullspace_lift``: (2h+1)^k vectors (the full
     sphere, with no rows: (2h+1)^m), the cells of one k as one stack of
     arrays in blocks of at most ``_BLOCK_LIMIT`` grid vectors.  A walk of
     more than ``_WALK_BUDGET`` grid vectors over all cells is refused with
@@ -291,8 +278,8 @@ def rational_points(complex_: SphericalComplex, height: int) -> tuple[RationalDi
         if cone_dimension(cell) == 1:
             found.update(p for p in _ray_points(cell) if max(map(abs, p)) <= height)
             continue
-        lifted = _lift(cell)
-        by_free.setdefault(len(lifted[0][0]), []).append((cell, *lifted))
+        free, lift, denom = nullspace_lift(cell.equalities, cell.dim)
+        by_free.setdefault(len(free), []).append((cell, lift, denom))
     walk = sum(len(group) * (2 * height + 1) ** k for k, group in by_free.items())
     if walk > _WALK_BUDGET:
         raise ValueError(f"a walk of {walk} grid vectors is too large: the budget is {_WALK_BUDGET}")

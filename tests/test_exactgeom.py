@@ -30,6 +30,7 @@ from loglimset.exactgeom import (
     interior_point,
     intersect,
     nullspace_basis,
+    nullspace_lift,
     primitive_vector,
     rref,
     solve_nonneg,
@@ -785,7 +786,7 @@ class TestIntegerElimination:
                 scale = row[col]
                 assert scale > 0 and list(row) == [scale * x for x in f_row], rows
                 assert gcd(*row) == 1
-            expected = []
+            null_vectors = []
             for free in range(width):
                 if free in f_pivots:
                     continue
@@ -793,12 +794,43 @@ class TestIntegerElimination:
                 vec[free] = Fraction(1)
                 for f_row, col in zip(f_reduced, f_pivots):
                     vec[col] = -f_row[free]
-                expected.append(_primitive_of_fractions(vec))
-            assert nullspace_basis(rows, width) == expected, rows
+                null_vectors.append(vec)
+            assert nullspace_basis(rows, width) == [_primitive_of_fractions(v) for v in null_vectors], rows
+            free, lift, denom = nullspace_lift(rows, width)
+            assert free == [j for j in range(width) if j not in f_pivots], rows
+            assert len(lift) == len(denom) == width and all(len(row) == len(free) for row in lift)
+            assert all(
+                Fraction(lift[j][i], denom[j]) == vec[j] for i, vec in enumerate(null_vectors) for j in range(width)
+            ), rows
         assert 300 < deficient < 900
 
     def test_no_rows_give_unit_basis(self):
         assert rref([]) == ([], [])
         assert exact_rank([]) == 0
         assert nullspace_basis([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert nullspace_lift([], 3) == ([0, 1, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1])
+
+    def test_unit_solution_of_independent_rows(self):
+        rng = random.Random(9041)
+        kinds = {"no rows": 0, "dependent": 0, "solved": 0}
+        for trial in range(600):
+            m = 2 + trial % 5
+            lo = rng.choice((3, 2**64))  # entries past 2^63 in about half the trials
+            stacked = [tuple(rng.randint(-lo, lo) for _ in range(m)) for _ in range(rng.randint(1, m))]
+            if rng.random() < 0.3:
+                (a, b), ca, cb = rng.sample(stacked * 2, 2), rng.randint(-2, 2), rng.randint(-2, 2)
+                stacked.insert(rng.randint(0, len(stacked)), tuple(ca * x + cb * y for x, y in zip(a, b)))
+            split = rng.randint(0, len(stacked))
+            eq, rows = stacked[:split], stacked[split:]
+            y = exactgeom._unit_solution(eq, rows, m)
+            if not rows or len(rref_fraction(stacked)[0]) < len(stacked):
+                kinds["dependent" if rows else "no rows"] += 1
+                assert y is None, (eq, rows, y)
+                continue
+            kinds["solved"] += 1
+            assert y is not None and len(y) == m, (eq, rows)
+            assert all(dot(row, y) == 0 for row in eq), (eq, rows, y)
+            values = {dot(row, y) for row in rows}
+            assert len(values) == 1 and values.pop() > 0, (eq, rows, y)
+        assert min(kinds.values()) >= 100, kinds
 

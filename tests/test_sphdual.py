@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dot,
     primitive_vectors_py,
     random_laurent,
     rational_points_grid,
@@ -16,7 +17,7 @@ from conftest import (
     support_max_twice,
 )
 from loglimset import sphdual
-from loglimset.exactgeom import LinearSystem, cone_contains, cone_dimension, rref
+from loglimset.exactgeom import LinearSystem, cone_contains, cone_dimension, nullspace_lift, rref
 from loglimset.exactgeom import intersect as intersect_systems
 from loglimset.laurent import LaurentPolynomial, parse
 from loglimset.loglim import loglim_outer
@@ -449,6 +450,50 @@ class TestCellEnumeration:
         for limit in (sphdual._BLOCK_LIMIT, 1, 10**9):
             monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", limit)
             assert rational_points(c, 3) == expected, limit
+
+
+    def test_walk_commutes_with_unimodular_maps(self):
+        # the limit set moves with a unimodular change of coordinates
+        # (Bergman 1971): xi is a direction of f_A exactly when A xi is one
+        # of f, although the walks of f_A see other pivots and denominators
+        rng = random.Random(44)
+        variables = ("x", "y", "z", "w")
+        cases = []
+        for trial in range(12):
+            m = 2 + trial % 3
+            cases.append(([random_laurent(rng, variables[:m], max_terms=6)], *_unimodular(rng, m), 3))
+        block = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 2), (0, 0, 1, 3))
+        block_inv = ((1, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 3, -2), (0, 0, -1, 1))
+        cases.append((split_link_generators((2, 3), (2, 5)), block, block_inv, 6))
+        lifts_moved = 0
+        for gens, A, A_inv, height in cases:
+            c = loglim_outer(gens)
+            c_A = loglim_outer([_pulled_back(g, A) for g in gens])
+            for xi in rational_points(c_A, height):
+                assert contains(c, [dot(row, xi) for row in A]), (gens, A, xi)
+            for eta in rational_points(c, height):
+                assert contains(c_A, [dot(row, eta) for row in A_inv]), (gens, A, eta)
+            lifts = [{str(nullspace_lift(cell.equalities, cell.dim)[1:]) for cell in x.cells} for x in (c, c_A)]
+            lifts_moved += lifts[0] != lifts[1]
+        assert lifts_moved >= 10
+
+def _unimodular(rng, m):
+    """A seeded product of elementary matrices I + c e_ij, and its inverse."""
+    A = [[int(i == j) for j in range(m)] for i in range(m)]
+    A_inv = [row[:] for row in A]
+    for _ in range(2 * m):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in A:
+            row[j] += c * row[i]
+        A_inv[i] = [x - c * y for x, y in zip(A_inv[i], A_inv[j])]
+    return A, A_inv
+
+
+def _pulled_back(f, A):
+    """f_A, the polynomial with support A^T . supp f: xi is in its dual
+    exactly when A xi is in the dual of f."""
+    return LaurentPolynomial(f.variables, {tuple(dot(col, a) for col in zip(*A)): c for a, c in f.items()})
 
 
 class TestCellDimensions:
