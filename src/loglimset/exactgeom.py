@@ -342,16 +342,20 @@ def _unit_solution(equalities: Sequence[IntRow], rows: Sequence[IntRow], width: 
     together; None if they are not, or there are no rows.
 
     Such rows never balance, so y is a relative-interior witness that needs
-    no LP: the null vector of ``[eq 0; row -1]`` with last coordinate 1 and
-    the other free unknowns 0, scaled by the lcm of the pivots.
+    no LP: the null vector of ``[eq 0; row 1]`` with last coordinate minus
+    the lcm of the pivots and the other free unknowns 0, read off the pivot
+    entries of the last column alone.
     """
     if not rows or len(equalities) + len(rows) > width:
         return None
-    free, lift, denom = nullspace_lift([eq + (0,) for eq in equalities] + [row + (-1,) for row in rows], width + 1)
-    if free[-1] != width or width + 1 - len(free) < len(equalities) + len(rows):
+    pivots, reduced = rref([eq + (0,) for eq in equalities] + [row + (1,) for row in rows])
+    if len(pivots) < len(equalities) + len(rows) or width in pivots:
         return None
-    scale = lcm(*denom)
-    return [row[-1] * (scale // d) for row, d in zip(lift[:width], denom)]
+    scale = lcm(*(prow[pcol] for prow, pcol in zip(reduced, pivots)))
+    y = [0] * width
+    for prow, pcol in zip(reduced, pivots):
+        y[pcol] = prow[width] * (scale // prow[pcol])
+    return y
 
 
 # bounded so that a long-lived process cannot grow it without limit; a whole

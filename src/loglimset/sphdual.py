@@ -8,17 +8,24 @@ Every query (membership, union, intersection, rational points) is answered
 from the cells.  The dual of a polynomial is built from its support on
 first use of its cells: they are the normal cones of the Newton polytope's
 edges, the codimension-1 skeleton of the polytope's normal fan.
+
+A support's dual, the full sphere, and an intersection of two such complexes
+are each an antichain of cones of one fan.  An intersection of two of them
+keeps a piece a ∩ b with no containment test when the piece's interior point
+lies in the relative interior of both a and b; only the other pieces are
+reduced by containment (see :func:`intersect`).
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import sub
-from typing import Iterable, Sequence
+from operator import mul, sub
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
 from .exactgeom import (
+    IntRow,
     LinearSystem,
     cone_contains,
     cone_dimension,
@@ -61,14 +68,18 @@ def pair_cone(
     return LinearSystem.make(dim, [tuple(map(sub, a0, a1))], ineqs)
 
 
-def reduce_to_maximal(cells: Iterable[LinearSystem]) -> tuple[LinearSystem, ...]:
+def reduce_to_maximal(cells: Iterable[LinearSystem], maximal: Container[LinearSystem] = ()) -> tuple[LinearSystem, ...]:
     """Drop each cell that another cell contains; of equal cones the lex-least
     system stays.  By transitivity every dropped cell lies in a kept one.  A
-    maximal, lex-least container is never dropped, so dropped cells are skipped."""
+    maximal, lex-least container is never dropped, so dropped cells are skipped.
+    The cells in ``maximal`` are known to be kept, and no other cell may equal
+    one of them as a cone: they are never tested, but still contain others."""
     ordered = sorted(set(cells))  # each system once, so identity tells the other cells apart
     live = list(ordered)  # the cells not dropped so far
     for a in ordered:
-        if any(b is not a and cone_contains(a, b) and (b < a or not cone_contains(b, a)) for b in live):
+        if a not in maximal and any(
+            b is not a and cone_contains(a, b) and (b < a or not cone_contains(b, a)) for b in live
+        ):
             live.remove(a)
     return tuple(live)
 
@@ -90,13 +101,14 @@ def _support_cells(support: frozenset[ExponentVector]) -> tuple[LinearSystem, ..
 class SphericalComplex:
     """Finite union of nonzero rational cones on the sphere S^(dim-1)."""
 
-    __slots__ = ("dim", "_cells", "_support")
+    __slots__ = ("dim", "_cells", "_support", "_fan")
 
     def __init__(self, dim: int, cells: Iterable[LinearSystem] = ()):
         if dim < 1:
             raise ValueError("ambient dimension must be positive")
         self.dim = dim
         self._support: frozenset[ExponentVector] | None = None
+        self._fan = False  # are the cells an antichain of cones of one fan?
         kept = tuple(sorted(set(cells)))
         for cell in kept:
             if cell.dim != dim:
@@ -110,7 +122,9 @@ class SphericalComplex:
 
     @classmethod
     def full(cls, dim: int) -> "SphericalComplex":
-        return cls(dim, [LinearSystem.make(dim)])
+        complex_ = cls(dim, [LinearSystem.make(dim)])
+        complex_._fan = True
+        return complex_
 
     @classmethod
     def empty(cls, dim: int) -> "SphericalComplex":
@@ -120,7 +134,7 @@ class SphericalComplex:
     def _of_support(cls, dim: int, support: frozenset[ExponentVector]) -> "SphericalComplex":
         """The dual of one support, its cells built on first use."""
         complex_ = cls(dim)
-        complex_._cells, complex_._support = None, support
+        complex_._cells, complex_._support, complex_._fan = None, support, True
         return complex_
 
     @property
@@ -191,13 +205,51 @@ def union(c1: SphericalComplex, c2: SphericalComplex) -> SphericalComplex:
     return SphericalComplex(c1.dim, cells=reduce_to_maximal(c1.cells + c2.cells))
 
 
+def _open_rows(cell: LinearSystem) -> list[IntRow]:
+    """The inequalities positive at the cell's interior point.  A point of the
+    cell is in its relative interior when it is positive on all of them; the
+    others are implicit equalities, zero on the whole cell."""
+    q = interior_point(cell)
+    return [row for row in cell.inequalities if sum(map(mul, row, q)) > 0]
+
+
 def intersect(c1: SphericalComplex, c2: SphericalComplex) -> SphericalComplex:
-    """Set intersection, formed cell by cell with zero cones pruned."""
+    """Set intersection, formed cell by cell with zero cones pruned.
+
+    Without the fan property every piece a ∩ b is reduced to the maximal
+    ones by containment.  When both complexes are antichains of cones of one
+    fan, a piece c = a ∩ b whose interior point lies in the relative interior
+    of both a and b is maximal, and no other piece is the same cone: if c ⊆
+    c' = a' ∩ b', then relint(a) meets a', so a is a face of a' in the fan,
+    and a = a' since no cell contains another; likewise b = b', so c' = c.
+    Such a piece is kept with no containment test.  A piece that meets a
+    parent only on its boundary can still be maximal (when a proper face of
+    a meets b in a cone no full piece covers), so the other pieces go
+    through the containment reduction, with every piece as a container.
+    The result is again an antichain of cones of one fan, the common
+    refinement of the two.
+    """
     if c1.dim != c2.dim:
         raise ValueError("ambient dimensions differ")
-    pieces = {intersect_systems(a, b) for a in c1.cells for b in c2.cells}
-    cells = reduce_to_maximal(s for s in sorted(pieces) if cone_dimension(s) > 0)
-    return SphericalComplex(c1.dim, cells=cells)
+    fan = c1._fan and c2._fan
+    pairs: dict[LinearSystem, tuple[LinearSystem, LinearSystem]] = {}
+    for a in c1.cells:
+        for b in c2.cells:
+            pairs.setdefault(intersect_systems(a, b), (a, b))
+    pieces = [s for s in sorted(pairs) if cone_dimension(s) > 0]
+    maximal: set[LinearSystem] = set()
+    if fan:
+        # a piece that two pairs make lies in both, so it passes for neither:
+        # one pair per piece is enough
+        open_rows = {cell: _open_rows(cell) for cell in c1.cells + c2.cells}
+        for s in pieces:
+            p = interior_point(s)
+            a, b = pairs[s]
+            if all(sum(map(mul, row, p)) > 0 for row in open_rows[a] + open_rows[b]):
+                maximal.add(s)
+    result = SphericalComplex(c1.dim, cells=reduce_to_maximal(pieces, maximal))
+    result._fan = fan
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -238,6 +238,22 @@ class TestLoglim:
             '"dim": 3, "full_sphere": false, "outer": true}\n'
         )
 
+    def test_three_generator_golden(self, capsys, tmp_path):
+        # a third generator cuts the two planes' intersection: the chained
+        # intersection of duals, each piece kept by the fan rule or reduced
+        # by containment
+        path = tmp_path / "three.txt"
+        path.write_text("x+y+z+1\nx+2*y+3*z+4\nx-y^2*z+z^3-2\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["loglim", str(path), "--vars", "x,y,z"])
+        assert rc == 0 and err == ""
+        assert out == (
+            '{"cells": [{"eq": [[0, 0, 1]], "ineq": [[-1, 0, 0], [0, -1, 0]]}, '
+            '{"eq": [[0, 1, -1]], "ineq": [[-1, 0, 1], [-1, 0, 3], [0, 0, 1]]}, '
+            '{"eq": [[0, 1, 1], [1, 0, 1]], "ineq": [[0, 0, -1]]}, '
+            '{"eq": [[1, 0, 0]], "ineq": [[0, -2, -1], [0, -1, 0], [0, 0, -1]]}], '
+            '"dim": 3, "full_sphere": false, "outer": true}\n'
+        )
+
     def test_split_link_golden(self, capsys, tmp_path):
         # the (2,3) and (2,5) torus knots on two cusps: every cell of the
         # intersection has two equalities, one from each cusp

@@ -587,21 +587,30 @@ class TestMaximalReduction:
         assert reduce_to_maximal([ray, quadrant]) == (quadrant,)
 
     def test_dropped_cells_are_not_tried_as_containers(self, monkeypatch):
-        # two planes in three variables: 4 of the intersection's pieces lie
-        # inside others; trying every ordered pair took 126 containment tests
+        # two planes in three variables: 4 of the intersection's 10 nonzero
+        # pieces lie inside others; trying every ordered pair, also against
+        # dropped pieces, took 66 containment tests
         calls = []
 
         def counting(inner, outer):
             calls.append((inner, outer))
             return cone_contains(inner, outer)
 
-        monkeypatch.setattr(sphdual, "cone_contains", counting)
         variables = ("x", "y", "z")
         f, g = parse("x+y+z+1", variables), parse("x+2*y+3*z+4", variables)
-        cells = loglim_outer([f, g]).cells
-        assert len(calls) == 104
-        pieces = {intersect_systems(a, b) for a in spherical_dual(f).cells for b in spherical_dual(g).cells}
-        assert len(cells) == 6 and cells == reduce_to_maximal_all_pairs(s for s in pieces if cone_dimension(s) > 0)
+        df, dg = spherical_dual(f), spherical_dual(g)
+        pieces = {intersect_systems(a, b) for a in df.cells for b in dg.cells}
+        pieces = [s for s in sorted(pieces) if cone_dimension(s) > 0]
+        monkeypatch.setattr(sphdual, "cone_contains", counting)
+        cells = reduce_to_maximal(pieces)
+        assert len(calls) == 44
+        assert len(cells) == 6 and cells == reduce_to_maximal_all_pairs(pieces)
+        # intersect keeps the 6 cells with no test: each lies in the relative
+        # interiors of both parents; only the 4 pieces on a parent's boundary
+        # are tested
+        calls.clear()
+        assert intersect(df, dg).cells == cells
+        assert len(calls) == 7
 
     def test_same_cells_as_trying_every_pair(self):
         # sphdual.intersect's pieces of the duals of two random supports in
@@ -637,6 +646,87 @@ class TestMaximalReduction:
                 for j, b in enumerate(cells):
                     if i != j:
                         assert not cone_contains(a, b)
+
+
+class TestFanIntersection:
+    """intersect of two antichains of one fan keeps each piece inside both
+    parents' relative interiors untested; its cells are still those of the
+    all-pairs reduction of every nonzero piece."""
+
+    @staticmethod
+    def all_pairs(cells1, cells2):
+        pieces = {intersect_systems(a, b) for a in cells1 for b in cells2}
+        return reduce_to_maximal_all_pairs(s for s in pieces if cone_dimension(s) > 0)
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        """The (cells, maximal) arguments of every reduce_to_maximal call."""
+        calls = []
+        original = sphdual.reduce_to_maximal
+
+        def spy(cells, maximal=()):
+            cells = list(cells)
+            calls.append((cells, maximal))
+            return original(cells, maximal)
+
+        monkeypatch.setattr(sphdual, "reduce_to_maximal", spy)
+        return calls
+
+    def test_same_cells_as_all_pairs_reduction(self, reductions):
+        # 2 or 3 generators, m 2-4, exponents in {0, 1} (cells nest) or -3..3;
+        # every fourth ideal starts from a union, which has no fan property
+        rng = random.Random(3131)
+        untested = boundary = boundary_kept = unions = chained = 0
+        for trial in range(300):
+            m = rng.randint(2, 4)
+            variables = ("x", "y", "z", "w")[:m]
+            lo, hi = ((0, 1), (-3, 3))[trial % 2]
+            gens = [
+                random_laurent(rng, variables, max_terms=m + 1, exp_lo=lo, exp_hi=hi, min_terms=2)
+                for _ in range(rng.randint(2, 3))
+            ]
+            duals = [spherical_dual(g) for g in gens]
+            if trial % 4 == 3:
+                duals[:2] = [union(duals[0], duals[1])]
+            result, expected = duals[0], duals[0].cells
+            for dual in duals[1:]:
+                dual.cells  # built before the intersection's reduction is read
+                fan = result._fan
+                chained += fan and result is not duals[0]
+                reductions.clear()
+                result = intersect(result, dual)
+                expected = self.all_pairs(expected, dual.cells)
+                assert result.cells == expected, gens
+                ((pieces, maximal),) = reductions
+                if not fan:
+                    unions += 1
+                    assert not maximal and not result._fan
+                    continue
+                assert result._fan and set(maximal) <= set(expected)
+                untested += len(maximal)
+                tested = [s for s in pieces if s not in maximal]
+                boundary += len(tested)
+                boundary_kept += sum(s in expected for s in tested)
+        # the containment fallback is reached, and some boundary pieces survive it
+        counts = (untested, boundary, boundary_kept, unions, chained)
+        assert untested >= 500 and boundary >= 150 and boundary_kept >= 30 and unions >= 20 and chained >= 50, counts
+
+    def test_nested_cells_without_fan_are_reduced(self, reductions):
+        # the ray lies in the quadrant's boundary and in its own relative
+        # interior: only the containment reduction drops it
+        ray = LinearSystem.make(2, equalities=[(1, -1)], inequalities=[(0, 1)])
+        quadrant = LinearSystem.make(2, inequalities=[(1, 0), (0, 1)])
+        nested = SphericalComplex(2, [ray, quadrant])
+        assert intersect(nested, SphericalComplex.full(2)).cells == (quadrant,)
+        assert reductions[-1][1] == set()
+
+    def test_fan_property_of_each_construction(self):
+        f, g = parse("x+y+1", ("x", "y")), parse("x-y", ("x", "y"))
+        fans = [spherical_dual(f), SphericalComplex.full(2), intersect(spherical_dual(f), spherical_dual(g))]
+        assert all(c._fan for c in fans)
+        others = [SphericalComplex(2, spherical_dual(f).cells), union(*fans[:2]), SphericalComplex.empty(2)]
+        assert not any(c._fan for c in others)
+        assert not intersect(others[0], fans[0])._fan
 
 
 class TestFullSphere:
