@@ -97,11 +97,13 @@ def exact_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(pivots)
 
 
-def nullspace_lift(rows: Iterable[Sequence[int]], width: int) -> tuple[list[int], list[list[int]], list[int]]:
-    """(free, lift, denom) of {x : row . x = 0}, by one back-substitution
-    from the RREF: over values g of the free columns, ``x_j = lift[j] . g /
-    denom[j]``, a pivot's ``-prow[free] / p`` and a free column's unit row."""
-    pivots, reduced = rref(rows)
+def back_substitute(
+    pivots: Sequence[int], reduced: Sequence[IntRow], width: int
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """(free, lift, denom) of {x : row . x = 0} for rows in reduced echelon
+    form, each with its pivot column: over values g of the free columns,
+    ``x_j = lift[j] . g / denom[j]``, a pivot's ``-prow[free] / p`` and a
+    free column's unit row.  The rows may come in any order."""
     free = [j for j in range(width) if j not in pivots]
     lift = [[int(j == f) for f in free] for j in range(width)]
     denom = [1] * width
@@ -109,6 +111,12 @@ def nullspace_lift(rows: Iterable[Sequence[int]], width: int) -> tuple[list[int]
         lift[pcol] = [-prow[f] for f in free]
         denom[pcol] = prow[pcol]
     return free, lift, denom
+
+
+def nullspace_lift(rows: Iterable[Sequence[int]], width: int) -> tuple[list[int], list[list[int]], list[int]]:
+    """(free, lift, denom) of {x : row . x = 0}: :func:`back_substitute` on
+    the RREF of the rows."""
+    return back_substitute(*rref(rows), width)
 
 
 def nullspace_basis(rows: Iterable[Sequence[int]], width: int) -> list[IntRow]:
@@ -143,6 +151,11 @@ class LinearSystem:
     primitive integers, inequalities reduced modulo the equality span,
     opposite inequality pairs promoted to equalities, duplicates dropped,
     rows sorted lexicographically.  The hash is computed once per instance.
+    Two invariants follow, and the direction walk reads them: the
+    equalities are the rows of the RREF (see :func:`rref`), so each row's
+    first nonzero entry is its pivot; and every inequality is zero on
+    every pivot column, so an inequality with one nonzero entry bounds a
+    free coordinate.
     """
 
     dim: int
@@ -167,8 +180,12 @@ class LinearSystem:
         each step; opposite results become equalities for the next round."""
         if dim < 1:
             raise ValueError("ambient dimension must be positive")
-        eq_rows = _primitive_rows(equalities, dim)
-        ineq_rows = _primitive_rows(inequalities, dim)
+        return cls._canonical(dim, _primitive_rows(equalities, dim), _primitive_rows(inequalities, dim))
+
+    @classmethod
+    def _canonical(cls, dim: int, eq_rows: Sequence[IntRow], ineq_rows: Iterable[IntRow]) -> "LinearSystem":
+        """The canonicalisation loop of :meth:`make`, on rows that are
+        already primitive tuples of plain ints of length dim."""
         while True:
             pivots, reduced = rref(eq_rows)
             echelon = [(prow, pcol, prow[pcol]) for prow, pcol in zip(reduced, pivots)]
@@ -203,14 +220,12 @@ class LinearSystem:
 
 
 def intersect(s1: LinearSystem, s2: LinearSystem) -> LinearSystem:
-    """Concatenate and re-canonicalise two systems over the same space."""
+    """Concatenate and re-canonicalise two systems over the same space.  Their
+    rows are already primitive tuples of plain ints, so they are not
+    validated again."""
     if s1.dim != s2.dim:
         raise ValueError(f"ambient dimensions differ: {s1.dim} vs {s2.dim}")
-    return LinearSystem.make(
-        s1.dim,
-        s1.equalities + s2.equalities,
-        s1.inequalities + s2.inequalities,
-    )
+    return LinearSystem._canonical(s1.dim, s1.equalities + s2.equalities, s1.inequalities + s2.inequalities)
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ reduced by containment (see :func:`intersect`).
 from __future__ import annotations
 
 import itertools
+import math
 from operator import mul, sub
 from typing import Container, Iterable, Sequence
 
@@ -27,11 +28,11 @@ import numpy as np
 from .exactgeom import (
     IntRow,
     LinearSystem,
+    back_substitute,
     cone_contains,
     cone_dimension,
     int_entries,
     interior_point,
-    nullspace_lift,
 )
 from .exactgeom import intersect as intersect_systems
 from .laurent import ExponentVector, LaurentPolynomial
@@ -260,22 +261,26 @@ _BLOCK_LIMIT = 2_500  # grid vectors held in one allocation, over all cells of a
 _WALK_BUDGET = 4_000_000  # grid vectors one rational_points call may walk, over all its cells
 
 
-def _grid_blocks(dim: int, height: int):
-    """[-height, height]^dim in lex order, as runs of at most ``_BLOCK_LIMIT``
-    flat indices, so memory stays bounded for every dim."""
-    shape = (2 * height + 1,) * dim
-    total = shape[0] ** dim
+def _grid_blocks(dim: int, height: int, fixed: int = 0):
+    """[0, height]^fixed x [-height, height]^(dim - fixed) in lex order, as
+    runs of at most ``_BLOCK_LIMIT`` flat indices, so memory stays bounded
+    for every dim."""
+    shape = (height + 1,) * fixed + (2 * height + 1,) * (dim - fixed)
+    total = math.prod(shape)
     for lo in range(0, total, _BLOCK_LIMIT):
         flat = np.arange(lo, min(lo + _BLOCK_LIMIT, total))
-        yield np.transpose(np.unravel_index(flat, shape)) - height
+        block = np.transpose(np.unravel_index(flat, shape))
+        block[:, fixed:] -= height
+        yield block
 
 
-def _stack_points(stack: list, height: int):
+def _stack_points(stack: list, height: int, fixed: int):
     """Blocks of the primitive vectors of max-norm <= height in a stack of
     (cell, lift, denom) entries that leave the same number k of coordinates
-    free, lift and denom from ``exactgeom.nullspace_lift`` of the equalities.
+    free, the first ``fixed`` of them of one sign (their lift columns
+    multiplied by it), lift and denom from ``exactgeom.back_substitute``.
 
-    Each grid block of [-height, height]^k is lifted into every cell at once
+    Each grid block of :func:`_grid_blocks` is lifted into every cell at once
     through a lift tensor (cells, m, k); the inequality rows are zero-padded
     to a common count.  Arrays are laid out (cells, m, vectors), so the
     checks reduce over slabs rather than along short rows.
@@ -283,14 +288,14 @@ def _stack_points(stack: list, height: int):
     cells, lifts, denoms = zip(*stack)
     dim, k = cells[0].dim, len(lifts[0][0])
     rows = [row for cell, lift, denom in stack for row in [*lift, denom, *cell.inequalities]]
-    maxabs = max((abs(x) for row in rows for x in row), default=0)
+    maxabs = max(max(map(abs, row)) for row in rows)
     dtype = np.int64 if maxabs * height * dim < _INT64_SAFE else object
     lift = np.array(lifts, dtype=dtype).reshape(len(stack), dim, k)
     denom = np.array(denoms, dtype=dtype)[:, :, None]
     ineqs = np.zeros((len(stack), max(len(c.inequalities) for c in cells), dim), dtype=dtype)
     for i, cell in enumerate(cells):
         ineqs[i, : len(cell.inequalities)] = np.array(cell.inequalities, dtype=dtype).reshape(-1, dim)
-    for block in _grid_blocks(k, height):
+    for block in _grid_blocks(k, height, fixed):
         numer = lift @ block.T.astype(dtype, copy=False)
         quot = numer // denom
         ok = ((numer % denom == 0) & (abs(quot) <= height)).all(axis=1)
@@ -315,30 +320,41 @@ def rational_points(complex_: SphericalComplex, height: int) -> tuple[RationalDi
     A ray or a line (cone dimension 1) holds only plus and minus its
     generator, read off at any height.  Every other cell is walked through
     the k coordinates its equalities leave free, lifted by the (free, lift,
-    denom) of ``exactgeom.nullspace_lift``: (2h+1)^k vectors (the full
-    sphere, with no rows: (2h+1)^m), the cells of one k as one stack of
-    arrays in blocks of at most ``_BLOCK_LIMIT`` grid vectors.  A walk of
-    more than ``_WALK_BUDGET`` grid vectors over all cells is refused with
+    denom) of ``exactgeom.back_substitute`` on the pivots read off the
+    stored equalities (they are the RREF rows, so no elimination runs).  A
+    free coordinate x_j that an inequality s*x_j >= 0 fixes to the sign of
+    s walks [0, h] with its lift column multiplied by s; every other free
+    coordinate walks [-h, h].  The cells with the same k and the same
+    number of such coordinates form one stack of arrays, walked in blocks
+    of at most ``_BLOCK_LIMIT`` grid vectors.  The budget counts (2h+1)^k
+    grid vectors per walked cell (the full sphere, with no rows:
+    (2h+1)^m), an upper bound on the walk; a walk over it is refused with
     ``ValueError`` before it starts.
     """
     (height,) = int_entries((height,), "height")
     if height < 1:
         raise ValueError("height must be positive")
     found: set[RationalDirection] = set()
-    by_free: dict[int, list] = {}
+    by_shape: dict[tuple[int, int], list] = {}
     for cell in complex_.cells:
         if cone_dimension(cell) == 1:
             found.update(p for p in _ray_points(cell) if max(map(abs, p)) <= height)
             continue
-        free, lift, denom = nullspace_lift(cell.equalities, cell.dim)
-        by_free.setdefault(len(free), []).append((cell, lift, denom))
-    walk = sum(len(group) * (2 * height + 1) ** k for k, group in by_free.items())
+        pivots = [next(j for j, x in enumerate(row) if x) for row in cell.equalities]
+        free, lift, denom = back_substitute(pivots, cell.equalities, cell.dim)
+        # an inequality with one nonzero entry is zero on the pivot columns,
+        # so it fixes the sign of a free coordinate
+        signs = {j: s for row in cell.inequalities if row.count(0) == cell.dim - 1 for j, s in enumerate(row) if s}
+        order = sorted(range(len(free)), key=lambda i: free[i] not in signs)
+        lift = [[row[i] * signs.get(free[i], 1) for i in order] for row in lift]
+        by_shape.setdefault((len(free), len(signs)), []).append((cell, lift, denom))
+    walk = sum(len(group) * (2 * height + 1) ** k for (k, _), group in by_shape.items())
     if walk > _WALK_BUDGET:
         raise ValueError(f"a walk of {walk} grid vectors is too large: the budget is {_WALK_BUDGET}")
-    for k, group in by_free.items():
-        size = max(1, _BLOCK_LIMIT // (2 * height + 1) ** k)  # cells per stack
+    for (k, fixed), group in by_shape.items():
+        size = max(1, _BLOCK_LIMIT // ((height + 1) ** fixed * (2 * height + 1) ** (k - fixed)))  # cells per stack
         for start in range(0, len(group), size):
-            for points in _stack_points(group[start : start + size], height):
+            for points in _stack_points(group[start : start + size], height, fixed):
                 found.update(map(tuple, points.tolist()))
     return tuple(sorted(found))
 

@@ -330,6 +330,43 @@ class TestSlopes:
         lib = detect_boundary_coordinates(loglim_outer(gens), 4)
         assert payload["coordinates"] == sorted(list(c.entries) for c in lib)
 
+    def test_split_link_golden_at_benchmark_height(self, capsys, tmp_path):
+        # the (2,3) and (2,5) split link at the boundary-slopes height: each
+        # of its 16 cells walks both free coordinates over [0, 12]
+        path = tmp_path / "link.txt"
+        path.write_text("(l1-1)*(l1*m1^6+1)\n(l2-1)*(l2*m2^10+1)\n", encoding="utf-8")
+        rc, out, err = run_cli(capsys, ["slopes", str(path), "--vars", "m1,l1,m2,l2", "--height", "12"])
+        assert rc == 0 and err == ""
+        assert out == (
+            '{"coordinates": [[0, 0, 0, 1], [0, 0, 10, 1], [0, 1, 0, 0], [0, 1, 0, 1], '
+            '[0, 1, 0, 2], [0, 1, 0, 3], [0, 1, 0, 4], [0, 1, 0, 5], [0, 1, 0, 6], [0, 1, 0, 7], '
+            '[0, 1, 0, 8], [0, 1, 0, 9], [0, 1, 0, 10], [0, 1, 0, 11], [0, 1, 0, 12], '
+            '[0, 1, 10, 1], [0, 2, 0, 1], [0, 2, 0, 3], [0, 2, 0, 5], [0, 2, 0, 7], '
+            '[0, 2, 0, 9], [0, 2, 0, 11], [0, 2, 10, 1], [0, 3, 0, 1], [0, 3, 0, 2], '
+            '[0, 3, 0, 4], [0, 3, 0, 5], [0, 3, 0, 7], [0, 3, 0, 8], [0, 3, 0, 10], '
+            '[0, 3, 0, 11], [0, 3, 10, 1], [0, 4, 0, 1], [0, 4, 0, 3], [0, 4, 0, 5], '
+            '[0, 4, 0, 7], [0, 4, 0, 9], [0, 4, 0, 11], [0, 4, 10, 1], [0, 5, 0, 1], '
+            '[0, 5, 0, 2], [0, 5, 0, 3], [0, 5, 0, 4], [0, 5, 0, 6], [0, 5, 0, 7], [0, 5, 0, 8], '
+            '[0, 5, 0, 9], [0, 5, 0, 11], [0, 5, 0, 12], [0, 5, 10, 1], [0, 6, 0, 1], '
+            '[0, 6, 0, 5], [0, 6, 0, 7], [0, 6, 0, 11], [0, 6, 10, 1], [0, 7, 0, 1], '
+            '[0, 7, 0, 2], [0, 7, 0, 3], [0, 7, 0, 4], [0, 7, 0, 5], [0, 7, 0, 6], [0, 7, 0, 8], '
+            '[0, 7, 0, 9], [0, 7, 0, 10], [0, 7, 0, 11], [0, 7, 0, 12], [0, 7, 10, 1], '
+            '[0, 8, 0, 1], [0, 8, 0, 3], [0, 8, 0, 5], [0, 8, 0, 7], [0, 8, 0, 9], '
+            '[0, 8, 0, 11], [0, 8, 10, 1], [0, 9, 0, 1], [0, 9, 0, 2], [0, 9, 0, 4], '
+            '[0, 9, 0, 5], [0, 9, 0, 7], [0, 9, 0, 8], [0, 9, 0, 10], [0, 9, 0, 11], '
+            '[0, 9, 10, 1], [0, 10, 0, 1], [0, 10, 0, 3], [0, 10, 0, 7], [0, 10, 0, 9], '
+            '[0, 10, 0, 11], [0, 10, 10, 1], [0, 11, 0, 1], [0, 11, 0, 2], [0, 11, 0, 3], '
+            '[0, 11, 0, 4], [0, 11, 0, 5], [0, 11, 0, 6], [0, 11, 0, 7], [0, 11, 0, 8], '
+            '[0, 11, 0, 9], [0, 11, 0, 10], [0, 11, 0, 12], [0, 11, 10, 1], [0, 12, 0, 1], '
+            '[0, 12, 0, 5], [0, 12, 0, 7], [0, 12, 0, 11], [0, 12, 10, 1], [6, 1, 0, 0], '
+            '[6, 1, 0, 1], [6, 1, 0, 2], [6, 1, 0, 3], [6, 1, 0, 4], [6, 1, 0, 5], [6, 1, 0, 6], '
+            '[6, 1, 0, 7], [6, 1, 0, 8], [6, 1, 0, 9], [6, 1, 0, 10], [6, 1, 0, 11], '
+            '[6, 1, 0, 12], [6, 1, 10, 1], [12, 2, 0, 1], [12, 2, 0, 3], [12, 2, 0, 5], '
+            '[12, 2, 0, 7], [12, 2, 0, 9], [12, 2, 0, 11], [12, 2, 10, 1]], "h": 2, "slopes": []}'
+            "\n"
+        )
+        assert len(out) == 1887 and len(json.loads(out)["coordinates"]) == 127
+
     def test_grid_too_large_to_index_is_a_json_error(self, capsys, tmp_path):
         # the whole sphere of four variables at height 30 000: 60 001^4 > 2^63 vectors
         path = tmp_path / "zero.txt"

@@ -38,6 +38,37 @@ from loglimset.exactgeom import (
 from loglimset.sphdual import pair_cone, reduce_to_maximal, spherical_dual
 
 
+def _random_system_rows(rng, m=None):
+    """(m, eqs, ineqs) with every kind of row LinearSystem.make has to
+    canonicalise, as numpy int64 arrays in about a third of the draws."""
+    if m is None:
+        m = rng.randint(2, 5)
+    eqs = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(0, 3))]
+    ineqs = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rng.randint(1, 6))]
+    for _ in range(rng.randint(1, 4)):
+        r = rng.choice(ineqs)
+        k = rng.randint(1, 3)
+        e = [sum(rng.randint(-2, 2) * q[i] for q in eqs) for i in range(m)]
+        kind = rng.randrange(6)
+        if kind == 0:  # a non-primitive multiple, or a duplicate
+            ineqs.append([k * a for a in r])
+        elif kind == 1:  # a zero row
+            rng.choice((eqs, ineqs)).append([0] * m)
+        elif kind == 2:  # a row in the equality span
+            ineqs.append(e)
+        elif kind == 3:  # opposite to r modulo the equalities
+            ineqs.append([-k * a + b for a, b in zip(r, e)])
+        elif kind == 4:  # t and -(t + k r) are opposite once r and -r are promoted
+            t = [rng.randint(-3, 3) for _ in range(m)]
+            ineqs += [[-a for a in r], t, [-(a + k * b) for a, b in zip(t, r)]]
+        else:  # entries past 2^63
+            ineqs.append([a * 2**64 + rng.randint(-1, 1) for a in r])
+    if rng.random() < 0.3 and all(abs(x) < 2**63 for row in eqs + ineqs for x in row):
+        eqs = np.array(eqs, dtype=np.int64).reshape(-1, m)
+        ineqs = np.array(ineqs, dtype=np.int64)
+    return m, eqs, ineqs
+
+
 class TestCanonicalisation:
     def test_rows_become_primitive_and_sorted(self):
         s = LinearSystem.make(2, equalities=[(4, -2)], inequalities=[(0, 6), (0, 3)])
@@ -120,31 +151,8 @@ class TestCanonicalisation:
 
         promoted = promoted_late = numpy_systems = 0
         for _ in range(1200):
-            m = rng.randint(2, 5)
-            eqs = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(0, 3))]
-            ineqs = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rng.randint(1, 6))]
-            for _ in range(rng.randint(1, 4)):
-                r = rng.choice(ineqs)
-                k = rng.randint(1, 3)
-                e = [sum(rng.randint(-2, 2) * q[i] for q in eqs) for i in range(m)]
-                kind = rng.randrange(6)
-                if kind == 0:  # a non-primitive multiple, or a duplicate
-                    ineqs.append([k * a for a in r])
-                elif kind == 1:  # a zero row
-                    rng.choice((eqs, ineqs)).append([0] * m)
-                elif kind == 2:  # a row in the equality span
-                    ineqs.append(e)
-                elif kind == 3:  # opposite to r modulo the equalities
-                    ineqs.append([-k * a + b for a, b in zip(r, e)])
-                elif kind == 4:  # t and -(t + k r) are opposite once r and -r are promoted
-                    t = [rng.randint(-3, 3) for _ in range(m)]
-                    ineqs += [[-a for a in r], t, [-(a + k * b) for a, b in zip(t, r)]]
-                else:  # entries past 2^63
-                    ineqs.append([a * 2**64 + rng.randint(-1, 1) for a in r])
-            if rng.random() < 0.3 and all(abs(x) < 2**63 for row in eqs + ineqs for x in row):
-                eqs = np.array(eqs, dtype=np.int64).reshape(-1, m)
-                ineqs = np.array(ineqs, dtype=np.int64)
-                numpy_systems += 1
+            m, eqs, ineqs = _random_system_rows(rng)
+            numpy_systems += isinstance(eqs, np.ndarray)
             s = LinearSystem.make(m, eqs, ineqs)
             assert (s.equalities, s.inequalities) == canonical_rows_fraction(eqs, ineqs), (m, eqs, ineqs)
             assert all(type(x) is int for row in s.equalities + s.inequalities for x in row)
@@ -162,6 +170,30 @@ class TestCanonicalisation:
             after = exactgeom._analyze.cache_info()
             assert (after.hits, after.misses) == (before.hits + 1, before.misses), s
         assert promoted >= 300 and promoted_late >= 100 and numpy_systems >= 200, (promoted, promoted_late, numpy_systems)
+
+    def test_invariants_the_direction_walk_reads(self):
+        # the stored equalities are the RREF rows, each led by its pivot, and
+        # every inequality is zero on the pivot columns; so back_substitute
+        # on pivots read off the rows lifts as nullspace_lift does
+        rng = random.Random(3333)
+        promoted = numpy_systems = big = fixed = 0
+        for _ in range(1000):
+            m, eqs, ineqs = _random_system_rows(rng)
+            numpy_systems += isinstance(eqs, np.ndarray)
+            s = LinearSystem.make(m, eqs, ineqs)
+            pivots = [next(j for j, x in enumerate(row) if x) for row in s.equalities]
+            f_pivots, f_reduced = rref_fraction(s.equalities)
+            assert sorted(pivots) == f_pivots, s
+            for row, col in zip(s.equalities, pivots):
+                assert row[col] > 0 and list(row) == [row[col] * x for x in f_reduced[f_pivots.index(col)]], s
+            assert all(row[col] == 0 for row in s.inequalities for col in pivots), s
+            assert exactgeom.back_substitute(pivots, s.equalities, m) == nullspace_lift(s.equalities, m), s
+            promoted += len(s.equalities) > exact_rank([list(map(int, row)) for row in eqs])
+            big += any(abs(x) >= 2**63 for row in s.equalities + s.inequalities for x in row)
+            fixed += any(row.count(0) == m - 1 for row in s.inequalities)
+        assert promoted >= 250 and numpy_systems >= 150 and big >= 100 and fixed >= 100, (
+            promoted, numpy_systems, big, fixed,
+        )
 
     def test_zero_rows_dropped(self):
         s = LinearSystem.make(3, equalities=[(0, 0, 0)], inequalities=[(0, 0, 0)])
@@ -280,6 +312,26 @@ class TestIntersect:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             intersect(LinearSystem.make(2), LinearSystem.make(3))
+
+    def test_equals_make_of_the_concatenated_rows(self):
+        # intersect skips make's validation of rows that are already canonical
+        rng = random.Random(4444)
+        promoted = big = 0
+        for _ in range(600):
+            m, eqs, ineqs = _random_system_rows(rng)
+            s1 = LinearSystem.make(m, eqs, ineqs)
+            s2 = LinearSystem.make(m, *_random_system_rows(rng, m)[1:])
+            if s1.inequalities and rng.random() < 0.5:
+                # a row opposite to one of s1, beside no more equalities: the
+                # union promotes it
+                r, k = rng.choice(s1.inequalities), rng.randint(1, 3)
+                s2 = LinearSystem.make(m, (), s2.inequalities + (tuple(-k * a for a in r),))
+            got = intersect(s1, s2)
+            assert got == LinearSystem.make(m, s1.equalities + s2.equalities, s1.inequalities + s2.inequalities)
+            assert all(type(x) is int for row in got.equalities + got.inequalities for x in row)
+            promoted += len(got.equalities) > exact_rank(s1.equalities + s2.equalities)
+            big += any(abs(x) >= 2**63 for row in got.equalities + got.inequalities for x in row)
+        assert promoted >= 120 and big >= 30, (promoted, big)
 
 
 class TestBruteForceOracle:

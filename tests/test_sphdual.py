@@ -318,6 +318,58 @@ class TestCellEnumeration:
             xi for xi in primitive_vectors_py(4, 4) if any(cell.satisfied_by(xi) for cell in cells)
         )
 
+    @pytest.mark.parametrize("block_limit", [None, 1, 10**9])
+    def test_cells_with_coordinates_of_one_sign(self, block_limit, monkeypatch):
+        # an inequality with one nonzero entry fixes the sign of a free
+        # coordinate, which then walks [0, h]: k = 1 to 3 free coordinates,
+        # 0 to k of them fixed, negative signs, rows with two entries
+        if block_limit is not None:
+            monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", block_limit)
+        big = 2**61
+        cells = [
+            LinearSystem.make(4, [(1, 1, 1, 1)], [(0, 1, -1, 0)]),
+            LinearSystem.make(4, [(1, 0, 0, -2)], [(0, -1, 0, 0), (0, 1, 1, 0)]),
+            LinearSystem.make(4, [(1, 2, 0, 0)], [(0, 0, 1, 0), (1, 0, 0, -1)]),
+            LinearSystem.make(4, [(2, 1, -1, 1)], [(0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)]),
+            LinearSystem.make(4, [(1, 0, 1, 0), (0, 1, 0, -1)], [(0, 0, 1, 1)]),
+            LinearSystem.make(4, [(1, 0, 0, 1), (0, 1, -2, 0)], [(0, 0, -1, 0), (0, 0, 1, -3)]),
+            LinearSystem.make(4, [(1, 1, 0, 0), (0, 0, 1, 1)], [(0, -1, 0, 0), (0, 0, 0, -1)]),
+            LinearSystem.make(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, -1)], []),
+            LinearSystem.make(4, [(1, -2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], [(0, -1, 0, 0)]),
+            # past the int64 guard: the stack of this shape is walked as objects
+            LinearSystem.make(4, [(3, big, -big, 0)], [(0, -1, 0, 0), (0, 0, 0, 1)]),
+        ]
+        shapes = sorted(
+            (4 - len(cell.equalities), sum(row.count(0) == 3 for row in cell.inequalities)) for cell in cells
+        )
+        assert shapes == [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 1), (3, 2), (3, 3)]
+        assert any(x < 0 for cell in cells for row in cell.inequalities if row.count(0) == 3 for x in row)
+        c = SphericalComplex(4, cells=cells)
+        for height in (3, 5):
+            got = rational_points(c, height)
+            assert got == rational_points_grid(c, height), height
+            if height == 3:
+                assert got == tuple(
+                    xi for xi in primitive_vectors_py(4, 3) if any(cell.satisfied_by(xi) for cell in cells)
+                )
+
+    def test_split_link_walks_half_ranges(self, monkeypatch):
+        # each of the 16 cells bounds both free coordinates by a sign
+        # condition, so the walk is 13^2 grid vectors per cell instead of 25^2
+        grid_blocks = sphdual._grid_blocks
+        walked = []
+
+        def spy(*args):
+            blocks = list(grid_blocks(*args))
+            walked.append((args, sum(map(len, blocks))))
+            return iter(blocks)
+
+        monkeypatch.setattr(sphdual, "_grid_blocks", spy)
+        c = loglim_outer(split_link_generators((2, 3), (2, 5)))
+        assert len(c.cells) == 16
+        assert rational_points(c, 12) == rational_points_grid(c, 12)
+        assert walked and all(w == ((2, 12, 2), 13**2) for w in walked), walked
+
     def test_ray_cells_are_read_not_walked(self, monkeypatch):
         # a cell of cone dimension 1 holds at most plus and minus its
         # generator, so no stack and no grid block is built for it
@@ -413,11 +465,12 @@ class TestCellEnumeration:
 
     def test_grid_blocks_are_bounded_and_in_lex_order(self, monkeypatch):
         monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", 40)
-        for dim, height in ((1, 100), (2, 30), (3, 2), (2, 3)):
-            blocks = list(sphdual._grid_blocks(dim, height))
+        for dim, height, fixed in ((1, 100, 0), (2, 30, 0), (3, 2, 0), (2, 3, 0), (3, 4, 2)):
+            blocks = list(sphdual._grid_blocks(dim, height, fixed))
             assert all(0 < len(b) <= 40 for b in blocks)
             grid = [tuple(row) for b in blocks for row in b.tolist()]
-            assert grid == list(itertools.product(range(-height, height + 1), repeat=dim))
+            ranges = [range(height + 1)] * fixed + [range(-height, height + 1)] * (dim - fixed)
+            assert grid == list(itertools.product(*ranges))
 
     def test_blocked_walk_of_a_full_dimensional_cell(self, monkeypatch):
         monkeypatch.setattr(sphdual, "_BLOCK_LIMIT", 40)
