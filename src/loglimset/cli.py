@@ -5,6 +5,11 @@ parsed over an explicitly given variable order (never guessed), results are
 emitted as JSON lines, CSV or gnuplot-style columns, and identical
 invocations produce byte-identical output.  Errors are reported as one JSON
 object on stderr with a nonzero exit code.
+
+Each command is described once, in ``COMMANDS``.  A plain command line is
+read off that table by ``_quick_parse``; the argparse tree is built from it
+only for help, for errors and for unusual spellings, so argparse stays the
+one source of help and error text.
 """
 
 from __future__ import annotations
@@ -183,6 +188,48 @@ def _complex_plotdata(complex_) -> str:
 # ----------------------------------------------------------------------
 # wiring
 
+_FILES = ("files", {"nargs": "+", "help": "polynomial files, one generator per line"})
+_VARS = ("--vars", {"required": True, "help": "comma-separated variable order"})
+_HEIGHT = ("--height", {"type": _height, "default": DEFAULT_HEIGHT})
+
+# name: (help, handler, arguments), each argument its add_argument name and
+# keywords; build_parser and _quick_parse both read this table
+COMMANDS = {
+    "newton": ("Newton polytope vertices as JSON", cmd_newton, (_FILES, _VARS)),
+    "sphdual": (
+        "spherical dual of each polynomial",
+        cmd_sphdual,
+        (_FILES, _VARS, ("--format", {"choices": ("json", "plotdata"), "default": "json"})),
+    ),
+    "loglim": ("limit set (outer approximation for ideals)", cmd_loglim, (_FILES, _VARS)),
+    "slopes": ("boundary curve coordinates and slopes", cmd_slopes, (_FILES, _VARS, _HEIGHT)),
+    "torusknot": (
+        "torus-knot eigenvalue polynomial and slopes",
+        cmd_torusknot,
+        (
+            ("p", {"type": int}),
+            ("q", {"type": int}),
+            ("--psl2", {"action": "store_true", "help": "emit the squared-eigenvalue form"}),
+            _HEIGHT,
+            ("--format", {"choices": ("text", "json"), "default": "text"}),
+        ),
+    ),
+    "sample": (
+        "numerically sample a plane curve near infinity",
+        cmd_sample,
+        (
+            _FILES,
+            _VARS,
+            ("--rho-min", {"default": SampleParams.rho_min}),
+            ("--rho-max", {"default": SampleParams.rho_max}),
+            ("--grid", {"type": int, "default": SampleParams.grid}),
+            ("--phases", {"type": int, "default": SampleParams.phases}),
+            ("--seed", {"type": int, "default": SampleParams.seed}),
+            ("--format", {"choices": ("csv", "plotdata"), "default": "csv"}),
+        ),
+    ),
+}
+
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
@@ -192,52 +239,85 @@ def build_parser() -> argparse.ArgumentParser:
         "and boundary-slope detection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("files", nargs="+", help="polynomial files, one generator per line")
-        p.add_argument("--vars", required=True, help="comma-separated variable order")
-
-    p_newton = sub.add_parser("newton", help="Newton polytope vertices as JSON")
-    add_common(p_newton)
-    p_newton.set_defaults(run=cmd_newton)
-
-    p_dual = sub.add_parser("sphdual", help="spherical dual of each polynomial")
-    add_common(p_dual)
-    p_dual.add_argument("--format", choices=("json", "plotdata"), default="json")
-    p_dual.set_defaults(run=cmd_sphdual)
-
-    p_log = sub.add_parser("loglim", help="limit set (outer approximation for ideals)")
-    add_common(p_log)
-    p_log.set_defaults(run=cmd_loglim)
-
-    p_slopes = sub.add_parser("slopes", help="boundary curve coordinates and slopes")
-    add_common(p_slopes)
-    p_slopes.add_argument("--height", type=_height, default=DEFAULT_HEIGHT)
-    p_slopes.set_defaults(run=cmd_slopes)
-
-    p_knot = sub.add_parser("torusknot", help="torus-knot eigenvalue polynomial and slopes")
-    p_knot.add_argument("p", type=int)
-    p_knot.add_argument("q", type=int)
-    p_knot.add_argument("--psl2", action="store_true", help="emit the squared-eigenvalue form")
-    p_knot.add_argument("--height", type=_height, default=DEFAULT_HEIGHT)
-    p_knot.add_argument("--format", choices=("text", "json"), default="text")
-    p_knot.set_defaults(run=cmd_torusknot)
-
-    p_sample = sub.add_parser("sample", help="numerically sample a plane curve near infinity")
-    add_common(p_sample)
-    p_sample.add_argument("--rho-min", default=SampleParams.rho_min)
-    p_sample.add_argument("--rho-max", default=SampleParams.rho_max)
-    p_sample.add_argument("--grid", type=int, default=SampleParams.grid)
-    p_sample.add_argument("--phases", type=int, default=SampleParams.phases)
-    p_sample.add_argument("--seed", type=int, default=SampleParams.seed)
-    p_sample.add_argument("--format", choices=("csv", "plotdata"), default="csv")
-    p_sample.set_defaults(run=cmd_sample)
+    for name, (help_text, handler, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(run=handler)
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _convert(keywords: dict, text: str):
+    """One value as argparse converts and checks it; raises if argparse would refuse it."""
+    value = keywords.get("type", str)(text)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(text)
+    return value
+
+
+def _quick_parse(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives, or None.
+
+    Reads only a plain line: a command, then its positionals as one run and
+    each of its options at most once, spelled in full, with one value that
+    does not start with "-" unless the option is a flag.  Anything else (help,
+    an abbreviation, "--opt=value", "--", a repeated option, a negative
+    number, a bad or missing value) gives None, for argparse to parse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, arguments = COMMANDS[argv[0]]
+    positionals = [(flag, keywords) for flag, keywords in arguments if not flag.startswith("-")]
+    options = {flag: keywords for flag, keywords in arguments if flag.startswith("-")}
+    values = {"command": argv[0], "run": handler}
+    run: list = []
+    after_positional = False
+    tokens = iter(argv[1:])
     try:
-        args = build_parser().parse_args(argv)
+        for token in tokens:
+            if not token.startswith("-"):
+                if run and not after_positional:
+                    return None
+                run.append(token)
+                after_positional = True
+                continue
+            after_positional = False
+            keywords = options.get(token)
+            dest = token[2:].replace("-", "_")
+            if keywords is None or dest in values:
+                return None
+            if keywords.get("action") == "store_true":
+                values[dest] = True
+                continue
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            values[dest] = _convert(keywords, value)
+        count = len(positionals)
+        if positionals[-1][1].get("nargs") == "+" and len(run) >= count:
+            run[count - 1 :] = [run[count - 1 :]]  # the last one takes the rest of the run
+        elif len(run) != count:
+            return None
+        for (dest, keywords), text in zip(positionals, run):
+            values[dest] = [_convert(keywords, t) for t in text] if isinstance(text, list) else _convert(keywords, text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    for flag, keywords in options.items():
+        dest = flag[2:].replace("-", "_")
+        if dest not in values:
+            if keywords.get("required"):
+                return None
+            values[dest] = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+    return argparse.Namespace(**values)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        args = _quick_parse(argv)
+        if args is None:  # help, an error or an unusual spelling
+            args = build_parser().parse_args(argv)
         output = args.run(args)
     except CliUsageError as exc:
         sys.stderr.write(_json_line({"error": "usage", "message": str(exc)}))

@@ -1,11 +1,16 @@
+import argparse
+import contextlib
+import io
+import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import in_convex_hull_fraction, subprocess_env
+from conftest import in_convex_hull_fraction, load_bench_module, subprocess_env
 from loglimset import cli, polytope
 from loglimset.exactgeom import balance
 from loglimset.knots import TorusKnotParams, a_polynomial
@@ -645,7 +650,7 @@ class TestSubprocessEntry:
     def test_commands_import_nothing_after_start_up(self, tmp_path):
         # every module a command needs is loaded by `import loglimset.cli`,
         # so no command pays a first-use import (np.unique, for one, imports
-        # numpy.ma on its first call); argparse's gettext loads locale
+        # numpy.ma on its first call)
         files = {
             "line": "x+y+1\n",
             "trefoil": "(l-1)*(l*m^6+1)\n",
@@ -680,4 +685,218 @@ class TestSubprocessEntry:
             [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=subprocess_env()
         )
         assert result.returncode == 0, result.stderr
-        assert set(json.loads(result.stdout.splitlines()[-1])) <= {"locale", "_locale"}
+        assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+def _subcommands_action(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _subcommands(parser) -> dict:
+    return _subcommands_action(parser).choices
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace, or None where it refuses the line or prints help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except (cli.CliUsageError, SystemExit):
+            return None
+
+
+def _check_quick(argv):
+    """The quick parser's namespace, after checking that argparse agrees with it."""
+    quick = cli._quick_parse(argv)
+    expected = _argparse_vars(argv)
+    if expected is None:
+        assert quick is None, argv
+    elif quick is not None:
+        assert vars(quick) == expected, argv
+    return quick
+
+
+class TestQuickParse:
+    """``_quick_parse`` reads a plain line as argparse does, and leaves the rest to argparse."""
+
+    INTS = ("1", "2", "7", "64")
+    TEXT = ("a.txt", "dir/b.txt", "x,y", "m1,l1,m2,l2", "1e-10000", "x y.txt", "")
+    BAD = ("-1", "-x", "--", "0", "1.5", "x", "xml", "JSON", "")
+
+    @staticmethod
+    def _valid(action, rng) -> str:
+        if action.choices is not None:
+            return rng.choice(list(action.choices))
+        return rng.choice(TestQuickParse.INTS if action.type else TestQuickParse.TEXT)
+
+    def _chunks(self, name, rng, included):
+        """The positional run and one chunk per included option, of valid values."""
+        sub = _subcommands(cli.build_parser())[name]
+        positional = [a for a in sub._actions if not a.option_strings]
+        run = []
+        for action in positional:
+            count = rng.randint(1, 3) if action.nargs == "+" else 1
+            run += [self._valid(action, rng) for _ in range(count)]
+        chunks = [run]
+        for action in sub._actions:
+            if action.option_strings and (action.required or action.dest in included):
+                flag = action.option_strings[-1]
+                chunks.append([flag] if action.nargs == 0 else [flag, self._valid(action, rng)])
+        return chunks
+
+    def _optional(self, name):
+        sub = _subcommands(cli.build_parser())[name]
+        return [a.dest for a in sub._actions if a.option_strings and not a.required and a.dest != "help"]
+
+    def test_plain_lines_in_every_option_order(self):
+        rng = random.Random(1)
+        lines = 0
+        for name in _subcommands(cli.build_parser()):
+            optional = self._optional(name)
+            for k in range(len(optional) + 1):
+                for included in itertools.combinations(optional, k):
+                    chunks = self._chunks(name, rng, included)
+                    if len(chunks) <= 4:
+                        orders = list(itertools.permutations(chunks))
+                    else:
+                        orders = [rng.sample(chunks, len(chunks)) for _ in range(24)]
+                    for order in orders:
+                        argv = [name] + [token for chunk in order for token in chunk]
+                        assert _check_quick(argv) is not None, argv
+                        lines += 1
+        assert lines > 1400
+
+    def _fallbacks(self, name, rng):
+        """Lines the quick parser must leave to argparse, made from one plain line."""
+        chunks = self._chunks(name, rng, self._optional(name))
+        run, options = chunks[0], chunks[1:]
+        valued = [c for c in options if len(c) == 2]
+        plain = lambda *parts: [name] + [t for part in parts for t in part]  # noqa: E731
+        yield plain(run, *options, ["-h"])
+        yield plain(["--help"], run, *options)
+        flag, value = rng.choice(valued)
+        yield plain(run, *options, [flag[:3], value])  # an abbreviation such as --h
+        yield plain(run, [flag[:-1], value])
+        yield plain(run, *[c for c in options if c[0] != flag], [f"{flag}={value}"])
+        yield plain(["--"], run, *options)
+        yield plain(run, ["--"], *options)
+        yield plain(run, *options, [flag, value])  # repeated
+        yield plain(run, *options, [flag])  # missing value
+        yield plain(run, *[c for c in options if c[0] != flag], [flag])
+        for bad in (b for b in self.BAD if b.startswith("-")):
+            yield plain(run, *[c for c in options if c[0] != flag], [flag, bad])
+            yield plain([bad], run, *options)
+        yield plain(*options)  # no positionals
+        yield plain(run[:1], options[0], run[1:] or ["extra"], *options[1:])  # interleaved
+        yield plain(run, *options, ["extra"])
+        yield plain(run, *options, ["--unknown", "1"])
+        for flag_only in (c for c in options if len(c) == 1):
+            yield plain(run, *options, flag_only)  # a flag given twice
+        for required in (c for c in options if c[0] == "--vars"):
+            yield plain(run, *[c for c in options if c is not required])
+
+    def test_fallbacks_and_random_lines(self):
+        rng = random.Random(2026)
+        names = list(_subcommands(cli.build_parser()))
+        refused = 0
+        for name in names:
+            for _ in range(8):
+                for argv in self._fallbacks(name, rng):
+                    _check_quick(argv)
+                    assert cli._quick_parse(argv) is None, argv
+                # a value argparse refuses (a bad int, height or choice) goes to it
+                run, *options = self._chunks(name, rng, self._optional(name))
+                for i, bad in itertools.product(range(len(options)), self.BAD):
+                    if len(options[i]) == 2:
+                        argv = [name, *run] + [t for c in options[:i] + [[options[i][0], bad]] + options[i + 1 :] for t in c]
+                        refused += _check_quick(argv) is None
+        assert refused > 500
+        for argv in ([], ["bogus"], ["Newton", "a.txt", "--vars", "x"], ["newto", "a.txt", "--vars", "x"],
+                     [""], ["-h"], ["--help"], ["--vars", "x", "newton", "a.txt"]):
+            _check_quick(argv)
+            assert cli._quick_parse(argv) is None, argv
+        # torusknot's positionals as negative numbers, with a flag between them, too few or too many
+        for argv in (["torusknot", "-2", "3"], ["torusknot", "2", "--psl2", "3"], ["torusknot", "2"],
+                     ["torusknot", "--psl2", "2", "3", "5"]):
+            _check_quick(argv)
+            assert cli._quick_parse(argv) is None, argv
+        # random tokens from every command's options and values: agree or decline
+        tokens = sorted({flag for sub in _subcommands(cli.build_parser()).values()
+                         for a in sub._actions for flag in a.option_strings})
+        tokens += list(self.INTS + self.TEXT + self.BAD) + ["json", "plotdata", "text", "csv"]
+        for _ in range(3000):
+            _check_quick([rng.choice(names)] + rng.choices(tokens, k=rng.randint(0, 9)))
+
+    def test_argv_of_every_workload_is_plain(self, tmp_path):
+        workloads = load_bench_module("workloads")
+        for name in workloads.WORKLOADS:
+            workdir = tmp_path / name
+            workdir.mkdir()
+            for item in workloads.build(name, 1, workdir):
+                assert _check_quick(item.argv) is not None, item.argv
+
+    def test_plain_line_builds_no_parser(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(sys, "argv", ["loglimset", "torusknot", "2", "3"])
+        rc, out, err = run_cli(capsys, None)
+        assert (rc, out, err) == (0, TestTorusknot.TEXT_GOLDEN, "")
+        assert cli.build_parser.cache_info().currsize == 0
+        # argv=None reaches argparse too: sys.argv[1:] is what it reads
+        monkeypatch.setattr(sys, "argv", ["loglimset", "torusknot", "2", "3", "--height", "0"])
+        rc, out, err = run_cli(capsys, None)
+        assert rc == 2 and out == ""
+        assert json.loads(err) == {"error": "usage", "message": "argument --height: height must be at least 1"}
+        assert cli.build_parser.cache_info().currsize == 1
+
+
+# (option strings, dest, nargs, type, choices, default, required, help) of
+# every action of build_parser(), recorded from the parser as it was built
+# before the command table, so the table must build the same tree; help is
+# pinned as the strings handed to argparse, since its formatted output
+# differs between Python versions
+_HELP = [["-h", "--help"], "help", 0, None, None, "==SUPPRESS==", False, "show this help message and exit"]
+_FILES = [[], "files", "+", None, None, None, True, "polynomial files, one generator per line"]
+_VARS = [["--vars"], "vars", None, None, None, None, True, "comma-separated variable order"]
+_HEIGHT = [["--height"], "height", None, "_height", None, 8, False, None]
+PARSER_STRUCTURE = [
+    [_HELP, [[], "command", "A...", None, ["newton", "sphdual", "loglim", "slopes", "torusknot", "sample"],
+             None, True, None]],
+    ["newton", "Newton polytope vertices as JSON", "cmd_newton", [_HELP, _FILES, _VARS]],
+    ["sphdual", "spherical dual of each polynomial", "cmd_sphdual",
+     [_HELP, _FILES, _VARS, [["--format"], "format", None, None, ["json", "plotdata"], "json", False, None]]],
+    ["loglim", "limit set (outer approximation for ideals)", "cmd_loglim", [_HELP, _FILES, _VARS]],
+    ["slopes", "boundary curve coordinates and slopes", "cmd_slopes", [_HELP, _FILES, _VARS, _HEIGHT]],
+    ["torusknot", "torus-knot eigenvalue polynomial and slopes", "cmd_torusknot", [
+        _HELP,
+        [[], "p", None, "int", None, None, True, None],
+        [[], "q", None, "int", None, None, True, None],
+        [["--psl2"], "psl2", 0, None, None, False, False, "emit the squared-eigenvalue form"],
+        _HEIGHT,
+        [["--format"], "format", None, None, ["text", "json"], "text", False, None],
+    ]],
+    ["sample", "numerically sample a plane curve near infinity", "cmd_sample", [
+        _HELP, _FILES, _VARS,
+        [["--rho-min"], "rho_min", None, None, None, "1e-8", False, None],
+        [["--rho-max"], "rho_max", None, None, None, "1e8", False, None],
+        [["--grid"], "grid", None, "int", None, 64, False, None],
+        [["--phases"], "phases", None, "int", None, 4, False, None],
+        [["--seed"], "seed", None, "int", None, 0, False, None],
+        [["--format"], "format", None, None, ["csv", "plotdata"], "csv", False, None],
+    ]],
+]
+
+
+def test_parser_structure_snapshot():
+    def row(a):
+        choices = list(a.choices) if a.choices is not None else None
+        return [list(a.option_strings), a.dest, a.nargs, getattr(a.type, "__name__", a.type), choices,
+                a.default, a.required, a.help]
+
+    parser = cli.build_parser()
+    sub = _subcommands_action(parser)
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    structure = [[row(a) for a in parser._actions]] + [
+        [name, helps[name], p.get_default("run").__name__, [row(a) for a in p._actions]]
+        for name, p in sub.choices.items()
+    ]
+    assert structure == PARSER_STRUCTURE
