@@ -27,29 +27,50 @@ def run_cli(capsys, args):
     return rc, captured.out, captured.err
 
 
-@pytest.fixture()
-def triangle_file(tmp_path: Path) -> str:
-    path = tmp_path / "triangle.txt"
-    path.write_text("# a line in the torus\nx+y+1\n", encoding="utf-8")
-    return str(path)
+# the golden corpus, laid out as tests/golden/README.md says
+GOLDEN = Path(__file__).parent / "golden"
+CASES = sorted(p.stem for p in GOLDEN.glob("*.args"))
+
+
+def golden_argv(case: str) -> list:
+    return (GOLDEN / f"{case}.args").read_text(encoding="utf-8").split()
+
+
+def golden_out(case: str) -> str:
+    # read as bytes: read_text would translate a stray "\r\n"
+    return (GOLDEN / f"{case}.out").read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden(capsys, monkeypatch, case):
+    monkeypatch.chdir(GOLDEN)
+    rc, out, err = run_cli(capsys, golden_argv(case))
+    assert rc == 0 and err == ""
+    assert out == golden_out(case)
+
+
+def test_golden_corpus_is_whole():
+    assert CASES and CASES == sorted(p.stem for p in GOLDEN.glob("*.out"))
+    for case in CASES:
+        assert len((GOLDEN / f"{case}.args").read_text(encoding="utf-8").splitlines()) == 1, case
+        files = getattr(cli.build_parser().parse_args(golden_argv(case)), "files", [])
+        assert all((GOLDEN / name).is_file() for name in files), case
 
 
 @pytest.fixture()
-def trefoil_file(tmp_path: Path) -> str:
-    path = tmp_path / "trefoil.txt"
-    path.write_text("(l-1)*(l*m^6+1)\n", encoding="utf-8")
-    return str(path)
+def triangle_file() -> str:
+    return str(GOLDEN / "line.txt")
+
+
+@pytest.fixture()
+def trefoil_file() -> str:
+    return str(GOLDEN / "trefoil.txt")
 
 
 class TestNewton:
-    def test_golden(self, capsys, triangle_file):
-        rc, out, err = run_cli(capsys, ["newton", triangle_file, "--vars", "x,y"])
-        assert rc == 0 and err == ""
-        assert out == '{"dim": 2, "empty": false, "vertices": [[0, 0], [0, 1], [1, 0]]}\n'
-
-    def test_golden_in_four_variables(self, capsys, tmp_path, monkeypatch):
-        # CI's newton golden in x,y,z,w: 44 support points, 27 vertices; the
-        # sweep leaves 21 points to hull LPs, 4 of them vertices
+    def test_golden_in_four_variables(self, capsys, monkeypatch):
+        # the newton-four case: 44 support points, 27 vertices; the sweep
+        # leaves 21 points to hull LPs, 4 of them vertices
         outcomes = []
 
         def recording(rows, weighted, *rest):
@@ -58,20 +79,11 @@ class TestNewton:
             return lam
 
         monkeypatch.setattr(polytope, "balance", recording)
-        text = "(1+x*y+z+w)*(1+x+y*z*w)*(1+x+y+z+w)"
-        path = tmp_path / "four.txt"
-        path.write_text(text + "\n", encoding="utf-8")
+        path = GOLDEN / "four-newton.txt"
         rc, out, err = run_cli(capsys, ["newton", str(path), "--vars", "x,y,z,w"])
         assert rc == 0 and err == ""
-        assert out == (
-            '{"dim": 4, "empty": false, "vertices": [[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0], [0, 1, 0, 0], '
-            "[0, 1, 0, 1], [0, 1, 1, 0], [0, 1, 1, 3], [0, 1, 3, 1], [0, 2, 1, 1], [0, 2, 1, 2], [0, 2, 2, 1], "
-            "[1, 0, 0, 2], [1, 0, 2, 0], [1, 1, 1, 2], [1, 1, 2, 1], [1, 2, 0, 0], [1, 2, 1, 2], [1, 2, 2, 1], "
-            "[1, 3, 1, 1], [2, 0, 0, 0], [2, 0, 0, 1], [2, 0, 1, 0], [2, 1, 0, 1], [2, 1, 1, 0], [2, 2, 0, 0], "
-            "[2, 2, 1, 1], [3, 1, 0, 0]]}\n"
-        )
         assert outcomes.count(True) == 4 and outcomes.count(False) == 17
-        support = sorted(parse(text, ("x", "y", "z", "w")).support())
+        support = sorted(parse(path.read_text(encoding="utf-8"), ("x", "y", "z", "w")).support())
         vertices = [p for p in support if not in_convex_hull_fraction(p, [q for q in support if q != p])]
         assert json.loads(out)["vertices"] == [list(p) for p in vertices]
 
@@ -83,108 +95,6 @@ class TestNewton:
 
 
 class TestSphdual:
-    GOLDEN = (
-        '{"cells": [{"eq": [[0, 1]], "ineq": [[-1, 0]]}, '
-        '{"eq": [[1, -1]], "ineq": [[0, 1]]}, '
-        '{"eq": [[1, 0]], "ineq": [[0, -1]]}], "dim": 2, "full_sphere": false}\n'
-    )
-
-    def test_golden(self, capsys, triangle_file):
-        rc, out, err = run_cli(capsys, ["sphdual", triangle_file, "--vars", "x,y"])
-        assert rc == 0 and err == ""
-        assert out == self.GOLDEN
-
-    # past two variables: the polynomials of CI's newton goldens, whose
-    # support points lie on edges and inside, and one input in four variables
-    GOLDENS_PAST_TWO = {
-        "square": (
-            "(x+y+1)*(x+y+1)*(x-y*z+1)",
-            "x,y,z",
-            (
-                '{"cells": [{"eq": [[0, 1, 0]], "ineq": [[-3, 0, 1], [-2, 0, 1], [-1, 0, 0], [-1, 0, 1], '
-                '[0, 0, 1]]}, {"eq": [[0, 1, 0]], "ineq": [[-2, 0, -1], [-1, 0, -1], [-1, 0, 0], [0, 0, '
-                '-1]]}, {"eq": [[0, 1, 1]], "ineq": [[-3, 0, -2], [-2, 0, -1], [-1, 0, -2], [-1, 0, -1], '
-                '[-1, 0, 0], [0, 0, -1]]}, {"eq": [[0, 1, 1]], "ineq": [[-2, 0, 1], [-1, 0, 0], [-1, 0, '
-                '1], [-1, 0, 2], [0, 0, 1]]}, {"eq": [[1, -1, -1]], "ineq": [[0, 0, -1], [0, 1, -1], [0, '
-                '1, 0], [0, 1, 1], [0, 2, 1], [0, 3, 1]]}, {"eq": [[1, -1, -1]], "ineq": [[0, 0, 1], [0, '
-                '1, 1], [0, 1, 2], [0, 1, 3], [0, 2, 3]]}, {"eq": [[1, -1, 0]], "ineq": [[0, 0, -1], [0, '
-                '1, -1], [0, 1, 0], [0, 2, -1]]}, {"eq": [[1, -1, 0]], "ineq": [[0, 0, 1], [0, 1, 0], '
-                '[0, 1, 1], [0, 2, 1], [0, 3, 1]]}, {"eq": [[1, 0, 0]], "ineq": [[0, -3, -1], [0, -2, '
-                '-1], [0, -1, -1], [0, -1, 0]]}, {"eq": [[1, 0, 0]], "ineq": [[0, -1, -1], [0, 0, -1], '
-                '[0, 1, -1], [0, 1, 0]]}, {"eq": [[1, 0, 0]], "ineq": [[0, -1, 0], [0, -1, 1], [0, 0, '
-                '1], [0, 1, 1]]}], "dim": 3, "full_sphere": false}\n'
-            ),
-        ),
-        "prism": (
-            "(1+x+y+z)*(1+x+y+z)*(1+x+y+z)*(1-x*y*z)",
-            "x,y,z",
-            (
-                '{"cells": [{"eq": [[0, 0, 1]], "ineq": [[-4, -1, 0], [-3, -2, 0], [-3, -1, 0], [-2, -3, '
-                '0], [-2, -1, 0], [-1, -4, 0], [-1, -3, 0], [-1, -2, 0], [-1, -1, 0], [-1, 0, 0], [0, '
-                '-1, 0]]}, {"eq": [[0, 1, -1]], "ineq": [[-4, 0, 1], [-3, 0, 1], [-2, 0, -1], [-2, 0, '
-                '1], [-2, 0, 3], [-1, 0, -2], [-1, 0, -1], [-1, 0, 0], [-1, 0, 1], [-1, 0, 2], [-1, 0, '
-                '3], [0, 0, 1]]}, {"eq": [[0, 1, -1]], "ineq": [[-2, 0, 3], [-2, 0, 5], [-1, 0, 1], [-1, '
-                '0, 2], [-1, 0, 3], [-1, 0, 4], [-1, 0, 5], [0, 0, 1], [1, 0, 2], [1, 0, 3], [1, 0, 4], '
-                '[1, 0, 5]]}, {"eq": [[0, 1, 0]], "ineq": [[-4, 0, -1], [-3, 0, -2], [-3, 0, -1], [-2, '
-                '0, -3], [-2, 0, -1], [-1, 0, -4], [-1, 0, -3], [-1, 0, -2], [-1, 0, -1], [-1, 0, 0], '
-                '[0, 0, -1]]}, {"eq": [[1, -1, 0]], "ineq": [[0, -2, -1], [0, -1, -2], [0, -1, -1], [0, '
-                '0, -1], [0, 1, -4], [0, 1, -3], [0, 1, -2], [0, 1, -1], [0, 1, 0], [0, 2, -1], [0, 3, '
-                '-2], [0, 3, -1]]}, {"eq": [[1, -1, 0]], "ineq": [[0, 1, -1], [0, 1, 0], [0, 2, -1], [0, '
-                '2, 1], [0, 3, -2], [0, 3, -1], [0, 3, 1], [0, 4, -1], [0, 4, 1], [0, 5, -2], [0, 5, '
-                '-1], [0, 5, 1]]}, {"eq": [[1, 0, -1]], "ineq": [[0, -4, 1], [0, -3, 1], [0, -2, -1], '
-                '[0, -2, 1], [0, -2, 3], [0, -1, -2], [0, -1, -1], [0, -1, 0], [0, -1, 1], [0, -1, 2], '
-                '[0, -1, 3], [0, 0, 1]]}, {"eq": [[1, 0, -1]], "ineq": [[0, -2, 3], [0, -2, 5], [0, -1, '
-                '1], [0, -1, 2], [0, -1, 3], [0, -1, 4], [0, -1, 5], [0, 0, 1], [0, 1, 2], [0, 1, 3], '
-                '[0, 1, 4], [0, 1, 5]]}, {"eq": [[1, 0, 0]], "ineq": [[0, -4, -1], [0, -3, -2], [0, -3, '
-                '-1], [0, -2, -3], [0, -2, -1], [0, -1, -4], [0, -1, -3], [0, -1, -2], [0, -1, -1], [0, '
-                '-1, 0], [0, 0, -1]]}, {"eq": [[1, 1, 1]], "ineq": [[0, -5, -4], [0, -5, -3], [0, -4, '
-                '-5], [0, -4, -3], [0, -3, -5], [0, -3, -4], [0, -3, -2], [0, -2, -3], [0, -2, -1], [0, '
-                '-1, -2], [0, -1, -1]]}, {"eq": [[1, 1, 1]], "ineq": [[0, -2, 3], [0, -1, 1], [0, -1, '
-                '2], [0, -1, 3], [0, -1, 4], [0, 0, 1], [0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 1, 5], [0, '
-                '2, 5]]}, {"eq": [[1, 1, 1]], "ineq": [[0, 1, -1], [0, 1, 0], [0, 2, -1], [0, 2, 1], [0, '
-                '3, -2], [0, 3, -1], [0, 3, 1], [0, 4, -1], [0, 4, 1], [0, 5, 1], [0, 5, 2]]}], '
-                '"dim": 3, "full_sphere": false}\n'
-            ),
-        ),
-        "four": (
-            "x*y*z*w+x^2+y^2*w+z^2+w^3+x*z^-1+1",
-            "x,y,z,w",
-            (
-                '{"cells": [{"eq": [[0, 0, 0, 1]], "ineq": [[-1, -1, -1, 0], [-1, 0, 0, 0], [-1, 0, 1, '
-                '0], [0, -1, 0, 0], [0, 0, -1, 0]]}, {"eq": [[0, 0, 1, 0]], "ineq": [[-1, -1, 0, -1], '
-                '[-1, 0, 0, 0], [0, -2, 0, -1], [0, 0, 0, -1]]}, {"eq": [[0, 0, 2, -3]], "ineq": [[-2, '
-                '-2, 0, 1], [-2, 0, 0, 3], [-2, 0, 0, 9], [0, -1, 0, 1], [0, 0, 0, 1]]}, {"eq": [[0, 1, '
-                '0, -1]], "ineq": [[-2, 0, 0, 3], [-1, 0, -1, 1], [-1, 0, 1, 3], [0, 0, -2, 3], [0, 0, '
-                '0, 1]]}, {"eq": [[0, 2, -2, 1]], "ineq": [[-2, 0, 0, -1], [-1, 0, 1, 0], [-1, 0, 3, 0], '
-                '[0, 0, 1, 0], [0, 0, 2, -3]]}, {"eq": [[0, 2, 0, 1]], "ineq": [[-2, 0, -2, -1], [-1, 0, '
-                '0, 0], [-1, 0, 1, 0], [0, 0, -1, 0], [0, 0, 0, -1]]}, {"eq": [[1, -2, -1, -1]], '
-                '"ineq": [[0, -2, -2, -1], [0, -1, -2, -1], [0, 1, 0, -1], [0, 2, -2, 1], [0, 2, 0, '
-                '1]]}, {"eq": [[1, -1, -1, -1]], "ineq": [[0, 0, 2, 1], [0, 1, 0, 1], [0, 1, 1, 1], [0, '
-                '1, 2, 1], [0, 2, 2, -1]]}, {"eq": [[1, -1, 1, 0]], "ineq": [[0, 0, 2, 1], [0, 1, 0, '
-                '-1], [0, 1, 2, 1], [0, 2, -2, 1], [0, 2, 0, 1]]}, {"eq": [[1, 0, -1, -3]], "ineq": [[0, '
-                '-1, -2, -1], [0, -1, 0, 1], [0, 0, -2, -3], [0, 0, -2, 3], [0, 0, 0, 1]]}, {"eq": [[1, '
-                '0, -1, 0]], "ineq": [[0, -2, 0, -1], [0, -1, -2, -1], [0, 0, -1, 0], [0, 0, 0, -1]]}, '
-                '{"eq": [[1, 0, -1, 0]], "ineq": [[0, -2, 2, -1], [0, -1, 0, -1], [0, 0, 1, 0], [0, 0, '
-                '2, -3]]}, {"eq": [[1, 0, 1, 0]], "ineq": [[0, -2, -2, -1], [0, -1, -2, -1], [0, 0, -2, '
-                '-3], [0, 0, -1, 0]]}, {"eq": [[1, 1, -1, 1]], "ineq": [[0, -2, 2, -1], [0, 0, 1, 0], '
-                '[0, 0, 2, -3], [0, 1, 0, 1], [0, 1, 2, 1]]}, {"eq": [[1, 1, 1, -2]], "ineq": [[0, -1, '
-                '0, 1], [0, 0, -2, 3], [0, 0, 0, 1], [0, 1, 2, 1], [0, 2, 2, -1]]}, {"eq": [[2, -2, 0, '
-                '-1]], "ineq": [[0, 0, -2, -1], [0, 1, 0, -1], [0, 2, -2, 1], [0, 2, 0, 1], [0, 2, 2, '
-                '1]]}, {"eq": [[2, 0, 0, -3]], "ineq": [[0, -2, -2, 1], [0, -1, 0, 1], [0, 0, -2, 3], '
-                '[0, 0, 0, 1], [0, 0, 2, 3]]}], "dim": 4, "full_sphere": false}\n'
-            ),
-        ),
-    }
-
-    @pytest.mark.parametrize("name", sorted(GOLDENS_PAST_TWO))
-    def test_golden_past_two_variables(self, capsys, tmp_path, name):
-        poly, variables, golden = self.GOLDENS_PAST_TWO[name]
-        path = tmp_path / f"{name}.txt"
-        path.write_text(poly + "\n", encoding="utf-8")
-        rc, out, err = run_cli(capsys, ["sphdual", str(path), "--vars", variables])
-        assert rc == 0 and err == ""
-        assert out == "".join(golden)
-
     def test_matches_library(self, capsys, triangle_file):
         rc, out, _ = run_cli(capsys, ["sphdual", triangle_file, "--vars", "x,y"])
         lib = spherical_dual(parse("x+y+1", ("x", "y"))).to_json_dict()
@@ -203,13 +113,6 @@ class TestSphdual:
 
 
 class TestLoglim:
-    def test_point_variety_golden(self, capsys, tmp_path):
-        path = tmp_path / "two.txt"
-        path.write_text("x-1\ny-1\n", encoding="utf-8")
-        rc, out, err = run_cli(capsys, ["loglim", str(path), "--vars", "x,y"])
-        assert rc == 0 and err == ""
-        assert out == '{"cells": [], "dim": 2, "full_sphere": false, "outer": true}\n'
-
     def test_single_generator_not_flagged_outer(self, capsys, triangle_file):
         rc, out, _ = run_cli(capsys, ["loglim", triangle_file, "--vars", "x,y"])
         assert json.loads(out)["outer"] is False
@@ -226,66 +129,6 @@ class TestLoglim:
         lib = loglim_outer([parse("x+y+1", ("x", "y")), parse("x-y", ("x", "y"))])
         assert payload["cells"] == lib.to_json_dict()["cells"]
 
-    def test_nested_pieces_golden(self, capsys, tmp_path):
-        # two planes in three variables: 4 of the intersection's pieces lie
-        # inside others and are dropped by the maximal reduction
-        path = tmp_path / "planes.txt"
-        path.write_text("x+y+z+1\nx+2*y+3*z+4\n", encoding="utf-8")
-        rc, out, err = run_cli(capsys, ["loglim", str(path), "--vars", "x,y,z"])
-        assert rc == 0 and err == ""
-        assert out == (
-            '{"cells": [{"eq": [[0, 0, 1]], "ineq": [[-1, 0, 0], [0, -1, 0]]}, '
-            '{"eq": [[0, 1, -1]], "ineq": [[-1, 0, 1], [0, 0, 1]]}, '
-            '{"eq": [[0, 1, 0]], "ineq": [[-1, 0, 0], [0, 0, -1]]}, '
-            '{"eq": [[1, -1, 0]], "ineq": [[0, 1, -1], [0, 1, 0]]}, '
-            '{"eq": [[1, 0, -1]], "ineq": [[0, -1, 1], [0, 0, 1]]}, '
-            '{"eq": [[1, 0, 0]], "ineq": [[0, -1, 0], [0, 0, -1]]}], '
-            '"dim": 3, "full_sphere": false, "outer": true}\n'
-        )
-
-    def test_three_generator_golden(self, capsys, tmp_path):
-        # a third generator cuts the two planes' intersection: the chained
-        # intersection of duals, each piece kept by the fan rule or reduced
-        # by containment
-        path = tmp_path / "three.txt"
-        path.write_text("x+y+z+1\nx+2*y+3*z+4\nx-y^2*z+z^3-2\n", encoding="utf-8")
-        rc, out, err = run_cli(capsys, ["loglim", str(path), "--vars", "x,y,z"])
-        assert rc == 0 and err == ""
-        assert out == (
-            '{"cells": [{"eq": [[0, 0, 1]], "ineq": [[-1, 0, 0], [0, -1, 0]]}, '
-            '{"eq": [[0, 1, -1]], "ineq": [[-1, 0, 1], [-1, 0, 3], [0, 0, 1]]}, '
-            '{"eq": [[0, 1, 1], [1, 0, 1]], "ineq": [[0, 0, -1]]}, '
-            '{"eq": [[1, 0, 0]], "ineq": [[0, -2, -1], [0, -1, 0], [0, 0, -1]]}], '
-            '"dim": 3, "full_sphere": false, "outer": true}\n'
-        )
-
-    def test_split_link_golden(self, capsys, tmp_path):
-        # the (2,3) and (2,5) torus knots on two cusps: every cell of the
-        # intersection has two equalities, one from each cusp
-        path = tmp_path / "link.txt"
-        path.write_text("(l1-1)*(l1*m1^6+1)\n(l2-1)*(l2*m2^10+1)\n", encoding="utf-8")
-        rc, out, err = run_cli(capsys, ["loglim", str(path), "--vars", "m1,l1,m2,l2"])
-        assert rc == 0 and err == ""
-        assert out == (
-            '{"cells": [{"eq": [[0, 0, 0, 1], [0, 1, 0, 0]], "ineq": [[-1, 0, 0, 0], [0, 0, -1, 0]]}, '
-            '{"eq": [[0, 0, 0, 1], [0, 1, 0, 0]], "ineq": [[-1, 0, 0, 0], [0, 0, 1, 0]]}, '
-            '{"eq": [[0, 0, 0, 1], [0, 1, 0, 0]], "ineq": [[0, 0, -1, 0], [1, 0, 0, 0]]}, '
-            '{"eq": [[0, 0, 0, 1], [0, 1, 0, 0]], "ineq": [[0, 0, 1, 0], [1, 0, 0, 0]]}, '
-            '{"eq": [[0, 0, 0, 1], [6, 1, 0, 0]], "ineq": [[0, -1, 0, 0], [0, 0, -1, 0]]}, '
-            '{"eq": [[0, 0, 0, 1], [6, 1, 0, 0]], "ineq": [[0, -1, 0, 0], [0, 0, 1, 0]]}, '
-            '{"eq": [[0, 0, 0, 1], [6, 1, 0, 0]], "ineq": [[0, 0, -1, 0], [0, 1, 0, 0]]}, '
-            '{"eq": [[0, 0, 0, 1], [6, 1, 0, 0]], "ineq": [[0, 0, 1, 0], [0, 1, 0, 0]]}, '
-            '{"eq": [[0, 0, 10, 1], [0, 1, 0, 0]], "ineq": [[-1, 0, 0, 0], [0, 0, 0, -1]]}, '
-            '{"eq": [[0, 0, 10, 1], [0, 1, 0, 0]], "ineq": [[-1, 0, 0, 0], [0, 0, 0, 1]]}, '
-            '{"eq": [[0, 0, 10, 1], [0, 1, 0, 0]], "ineq": [[0, 0, 0, -1], [1, 0, 0, 0]]}, '
-            '{"eq": [[0, 0, 10, 1], [0, 1, 0, 0]], "ineq": [[0, 0, 0, 1], [1, 0, 0, 0]]}, '
-            '{"eq": [[0, 0, 10, 1], [6, 1, 0, 0]], "ineq": [[0, -1, 0, 0], [0, 0, 0, -1]]}, '
-            '{"eq": [[0, 0, 10, 1], [6, 1, 0, 0]], "ineq": [[0, -1, 0, 0], [0, 0, 0, 1]]}, '
-            '{"eq": [[0, 0, 10, 1], [6, 1, 0, 0]], "ineq": [[0, 0, 0, -1], [0, 1, 0, 0]]}, '
-            '{"eq": [[0, 0, 10, 1], [6, 1, 0, 0]], "ineq": [[0, 0, 0, 1], [0, 1, 0, 0]]}], '
-            '"dim": 4, "full_sphere": false, "outer": true}\n'
-        )
-
     def test_all_zero_generators_warn(self, capsys, tmp_path):
         path = tmp_path / "zero.txt"
         path.write_text("0\nx-x\n", encoding="utf-8")
@@ -296,13 +139,6 @@ class TestLoglim:
 
 
 class TestSlopes:
-    def test_trefoil_golden(self, capsys, trefoil_file):
-        rc, out, err = run_cli(
-            capsys, ["slopes", trefoil_file, "--vars", "m,l", "--height", "8"]
-        )
-        assert rc == 0 and err == ""
-        assert out == '{"coordinates": [[0, 1], [6, 1]], "h": 1, "slopes": ["0", "6"]}\n'
-
     def test_matches_library(self, capsys, trefoil_file):
         rc, out, _ = run_cli(capsys, ["slopes", trefoil_file, "--vars", "m,l"])
         lib = detect_boundary_coordinates(
@@ -335,43 +171,6 @@ class TestSlopes:
         lib = detect_boundary_coordinates(loglim_outer(gens), 4)
         assert payload["coordinates"] == sorted(list(c.entries) for c in lib)
 
-    def test_split_link_golden_at_benchmark_height(self, capsys, tmp_path):
-        # the (2,3) and (2,5) split link at the boundary-slopes height: each
-        # of its 16 cells walks both free coordinates over [0, 12]
-        path = tmp_path / "link.txt"
-        path.write_text("(l1-1)*(l1*m1^6+1)\n(l2-1)*(l2*m2^10+1)\n", encoding="utf-8")
-        rc, out, err = run_cli(capsys, ["slopes", str(path), "--vars", "m1,l1,m2,l2", "--height", "12"])
-        assert rc == 0 and err == ""
-        assert out == (
-            '{"coordinates": [[0, 0, 0, 1], [0, 0, 10, 1], [0, 1, 0, 0], [0, 1, 0, 1], '
-            '[0, 1, 0, 2], [0, 1, 0, 3], [0, 1, 0, 4], [0, 1, 0, 5], [0, 1, 0, 6], [0, 1, 0, 7], '
-            '[0, 1, 0, 8], [0, 1, 0, 9], [0, 1, 0, 10], [0, 1, 0, 11], [0, 1, 0, 12], '
-            '[0, 1, 10, 1], [0, 2, 0, 1], [0, 2, 0, 3], [0, 2, 0, 5], [0, 2, 0, 7], '
-            '[0, 2, 0, 9], [0, 2, 0, 11], [0, 2, 10, 1], [0, 3, 0, 1], [0, 3, 0, 2], '
-            '[0, 3, 0, 4], [0, 3, 0, 5], [0, 3, 0, 7], [0, 3, 0, 8], [0, 3, 0, 10], '
-            '[0, 3, 0, 11], [0, 3, 10, 1], [0, 4, 0, 1], [0, 4, 0, 3], [0, 4, 0, 5], '
-            '[0, 4, 0, 7], [0, 4, 0, 9], [0, 4, 0, 11], [0, 4, 10, 1], [0, 5, 0, 1], '
-            '[0, 5, 0, 2], [0, 5, 0, 3], [0, 5, 0, 4], [0, 5, 0, 6], [0, 5, 0, 7], [0, 5, 0, 8], '
-            '[0, 5, 0, 9], [0, 5, 0, 11], [0, 5, 0, 12], [0, 5, 10, 1], [0, 6, 0, 1], '
-            '[0, 6, 0, 5], [0, 6, 0, 7], [0, 6, 0, 11], [0, 6, 10, 1], [0, 7, 0, 1], '
-            '[0, 7, 0, 2], [0, 7, 0, 3], [0, 7, 0, 4], [0, 7, 0, 5], [0, 7, 0, 6], [0, 7, 0, 8], '
-            '[0, 7, 0, 9], [0, 7, 0, 10], [0, 7, 0, 11], [0, 7, 0, 12], [0, 7, 10, 1], '
-            '[0, 8, 0, 1], [0, 8, 0, 3], [0, 8, 0, 5], [0, 8, 0, 7], [0, 8, 0, 9], '
-            '[0, 8, 0, 11], [0, 8, 10, 1], [0, 9, 0, 1], [0, 9, 0, 2], [0, 9, 0, 4], '
-            '[0, 9, 0, 5], [0, 9, 0, 7], [0, 9, 0, 8], [0, 9, 0, 10], [0, 9, 0, 11], '
-            '[0, 9, 10, 1], [0, 10, 0, 1], [0, 10, 0, 3], [0, 10, 0, 7], [0, 10, 0, 9], '
-            '[0, 10, 0, 11], [0, 10, 10, 1], [0, 11, 0, 1], [0, 11, 0, 2], [0, 11, 0, 3], '
-            '[0, 11, 0, 4], [0, 11, 0, 5], [0, 11, 0, 6], [0, 11, 0, 7], [0, 11, 0, 8], '
-            '[0, 11, 0, 9], [0, 11, 0, 10], [0, 11, 0, 12], [0, 11, 10, 1], [0, 12, 0, 1], '
-            '[0, 12, 0, 5], [0, 12, 0, 7], [0, 12, 0, 11], [0, 12, 10, 1], [6, 1, 0, 0], '
-            '[6, 1, 0, 1], [6, 1, 0, 2], [6, 1, 0, 3], [6, 1, 0, 4], [6, 1, 0, 5], [6, 1, 0, 6], '
-            '[6, 1, 0, 7], [6, 1, 0, 8], [6, 1, 0, 9], [6, 1, 0, 10], [6, 1, 0, 11], '
-            '[6, 1, 0, 12], [6, 1, 10, 1], [12, 2, 0, 1], [12, 2, 0, 3], [12, 2, 0, 5], '
-            '[12, 2, 0, 7], [12, 2, 0, 9], [12, 2, 0, 11], [12, 2, 10, 1]], "h": 2, "slopes": []}'
-            "\n"
-        )
-        assert len(out) == 1887 and len(json.loads(out)["coordinates"]) == 127
-
     def test_grid_too_large_to_index_is_a_json_error(self, capsys, tmp_path):
         # the whole sphere of four variables at height 30 000: 60 001^4 > 2^63 vectors
         path = tmp_path / "zero.txt"
@@ -383,18 +182,6 @@ class TestSlopes:
 
 
 class TestTorusknot:
-    TEXT_GOLDEN = (
-        "# torus knot (2,3) A-polynomial over (m, l)\n"
-        "# factors: (l - 1) * (m^6*l + 1)\n"
-        "m^6*l^2 - m^6*l + l - 1\n"
-        "# boundary slopes (height 8): 0, 6\n"
-    )
-
-    def test_text_golden(self, capsys):
-        rc, out, err = run_cli(capsys, ["torusknot", "2", "3"])
-        assert rc == 0 and err == ""
-        assert out == self.TEXT_GOLDEN
-
     def test_text_output_reparses(self, capsys, tmp_path):
         rc, out, _ = run_cli(capsys, ["torusknot", "3", "5"])
         path = tmp_path / "knot.txt"
@@ -594,19 +381,17 @@ class TestErrorsAndDeterminism:
         plot = ["sphdual", triangle_file, "--vars", "x,y", "--format", "plotdata"]
         assert run_cli(capsys, plot)[0] == 0
         rc, out, _ = run_cli(capsys, ["sphdual", triangle_file, "--vars", "x,y"])
-        assert rc == 0 and out == TestSphdual.GOLDEN
+        assert rc == 0 and out == golden_out("sphdual-line")
         assert run_cli(capsys, ["torusknot", "2", "3", "--psl2"])[0] == 0
         rc, out, _ = run_cli(capsys, ["torusknot", "2", "3"])
-        assert rc == 0 and out == TestTorusknot.TEXT_GOLDEN
+        assert rc == 0 and out == golden_out("torusknot-text")
         assert cli.build_parser() is cli.build_parser()
 
 
 class TestSubprocessEntry:
-    def test_python_dash_m(self, tmp_path):
-        path = tmp_path / "p.txt"
-        path.write_text("x+y+1\n", encoding="utf-8")
+    def test_python_dash_m(self, triangle_file):
         result = subprocess.run(
-            [sys.executable, "-m", "loglimset", "newton", str(path), "--vars", "x,y"],
+            [sys.executable, "-m", "loglimset", "newton", triangle_file, "--vars", "x,y"],
             capture_output=True,
             text=True,
             env=subprocess_env(),
@@ -647,19 +432,10 @@ class TestSubprocessEntry:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "['numpy']"
 
-    def test_commands_import_nothing_after_start_up(self, tmp_path):
+    def test_commands_import_nothing_after_start_up(self):
         # every module a command needs is loaded by `import loglimset.cli`,
         # so no command pays a first-use import (np.unique, for one, imports
-        # numpy.ma on its first call)
-        files = {
-            "line": "x+y+1\n",
-            "trefoil": "(l-1)*(l*m^6+1)\n",
-            "binomial": "3*x^3-5\n",
-            "segments": "(y-1)*(y^2-x^3)*(y^3-x^7)\n",
-            "link": "(l1-1)*(l1*m1^6+1)\n(l2-1)*(l2*m2^10+1)\n",
-        }
-        for name, text in files.items():
-            (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+        # numpy.ma on its first call); the inputs are the golden corpus's
         runs = [
             ["newton", "line.txt", "--vars", "x,y"],
             ["sphdual", "line.txt", "--vars", "x,y"],
@@ -682,7 +458,7 @@ class TestSubprocessEntry:
             "print(json.dumps(sorted(set(sys.modules) - before)))\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=subprocess_env()
+            [sys.executable, "-c", script], capture_output=True, text=True, cwd=GOLDEN, env=subprocess_env()
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout.splitlines()[-1]) == []
@@ -839,7 +615,7 @@ class TestQuickParse:
         cli.build_parser.cache_clear()
         monkeypatch.setattr(sys, "argv", ["loglimset", "torusknot", "2", "3"])
         rc, out, err = run_cli(capsys, None)
-        assert (rc, out, err) == (0, TestTorusknot.TEXT_GOLDEN, "")
+        assert (rc, out, err) == (0, golden_out("torusknot-text"), "")
         assert cli.build_parser.cache_info().currsize == 0
         # argv=None reaches argparse too: sys.argv[1:] is what it reads
         monkeypatch.setattr(sys, "argv", ["loglimset", "torusknot", "2", "3", "--height", "0"])
